@@ -44,7 +44,7 @@ fn bench_spgemm(c: &mut Criterion) {
         b.iter(|| black_box(spgemm_serial::<BellmanFordKernel>(&f, &a)))
     });
     group.bench_function("multpath_frontier_x_a_parallel", |b| {
-        b.iter(|| black_box(spgemm::<BellmanFordKernel>(&f, &a)))
+        b.iter(|| black_box(spgemm::<BellmanFordKernel>(&f, &a, None)))
     });
     let at = transpose(&a);
     let z = f.map(|_, _, mp| Centpath::new(mp.w, 0.5, 1));

@@ -11,7 +11,7 @@ use mfbc_algebra::{Dist, Multpath, MultpathMonoid};
 use mfbc_graph::gen::{rmat, RmatConfig};
 use mfbc_machine::{Machine, MachineSpec};
 use mfbc_sparse::{Coo, Csr};
-use mfbc_tensor::{canonical_layout, mm_exec, DistMat, MmPlan, Variant1D, Variant2D};
+use mfbc_tensor::{canonical_layout, mm, DistMat, MmOpts, MmPlan, Variant1D, Variant2D};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -84,7 +84,7 @@ fn bench_plans(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &plan, |b, plan| {
             b.iter(|| {
                 m.reset_meters();
-                black_box(mm_exec::<BellmanFordKernel>(&m, plan, &df, &da).unwrap())
+                black_box(mm::<BellmanFordKernel>(&m, &df, &da, MmOpts::fixed(plan)).unwrap())
             })
         });
     }

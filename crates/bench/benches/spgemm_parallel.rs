@@ -46,7 +46,7 @@ where
 {
     let reference = spgemm_serial::<K>(a, b);
     for t in THREADS {
-        let out = mfbc_parallel::with_threads(t, || spgemm::<K>(a, b));
+        let out = mfbc_parallel::with_threads(t, || spgemm::<K>(a, b, None));
         assert_eq!(reference.mat.first_difference(&out.mat), None);
         assert_eq!(reference.ops, out.ops);
     }
@@ -58,7 +58,7 @@ where
     });
     for t in THREADS {
         group.bench_with_input(BenchmarkId::new("pool", t), &t, |bch, &t| {
-            bch.iter(|| mfbc_parallel::with_threads(t, || black_box(spgemm::<K>(a, b))))
+            bch.iter(|| mfbc_parallel::with_threads(t, || black_box(spgemm::<K>(a, b, None))))
         });
     }
     group.finish();

@@ -13,7 +13,7 @@ use mfbc_algebra::{Dist, Multpath, MultpathMonoid};
 use mfbc_graph::gen::{rmat, RmatConfig};
 use mfbc_machine::{Machine, MachineSpec};
 use mfbc_sparse::{Coo, Csr};
-use mfbc_tensor::{canonical_layout, mm_auto, DistMat};
+use mfbc_tensor::{canonical_layout, mm, DistMat, MmOpts};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -39,7 +39,7 @@ fn workload(p: usize) -> (Machine, DistMat<Multpath>, DistMat<Dist>) {
 
 fn run_once(m: &Machine, df: &DistMat<Multpath>, da: &DistMat<Dist>) {
     m.reset_meters();
-    black_box(mm_auto::<BellmanFordKernel>(m, df, da).unwrap());
+    black_box(mm::<BellmanFordKernel>(m, df, da, MmOpts::default()).unwrap());
 }
 
 fn bench_trace_overhead(c: &mut Criterion) {

@@ -46,7 +46,7 @@ struct Workload {
 fn run_workload(name: &'static str, graph: &'static str, a: &Csr<Dist>, reps: usize) -> Workload {
     let reference = spgemm_serial::<TropicalKernel>(a, a);
     let identical = THREADS.iter().all(|&t| {
-        let out = mfbc_parallel::with_threads(t, || spgemm::<TropicalKernel>(a, a));
+        let out = mfbc_parallel::with_threads(t, || spgemm::<TropicalKernel>(a, a, None));
         out.mat.first_difference(&reference.mat).is_none() && out.ops == reference.ops
     });
     let serial_s = time(reps, || {
@@ -57,7 +57,7 @@ fn run_workload(name: &'static str, graph: &'static str, a: &Csr<Dist>, reps: us
         .map(|&t| {
             let s = time(reps, || {
                 mfbc_parallel::with_threads(t, || {
-                    black_box(spgemm::<TropicalKernel>(a, a));
+                    black_box(spgemm::<TropicalKernel>(a, a, None));
                 });
             });
             (t, s)

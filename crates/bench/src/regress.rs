@@ -390,6 +390,37 @@ mod tests {
         }
     }
 
+    /// The serialized ablation (`--no-overlap --hybrid-redist
+    /// alltoall`) is the paper's §7.4 charging: blocking collectives
+    /// and one all-to-all per redistribution. Its makespans are pinned
+    /// bit-exact to the EXPERIMENTS.md "serialized" column, so the
+    /// blocking accounting cannot drift while the gated baseline only
+    /// covers the overlapped default.
+    #[test]
+    fn serialized_alltoall_makespans_are_pinned() {
+        const SERIALIZED: [(&str, f64); 3] = [
+            ("uniform-n256-p4-b64", 0.0010606706666666666),
+            ("uniform-n192-p8-b32", 0.0008264919999999996),
+            ("rmat-s8-p4-b32", 0.0007426943333333332),
+        ];
+        let opts = SuiteOptions {
+            overlap: Some(false),
+            redist: Some(RedistMode::Alltoall),
+            ..SuiteOptions::default()
+        };
+        let results = run_suite(&opts);
+        assert_eq!(results.len(), SERIALIZED.len());
+        for (r, (name, want)) in results.iter().zip(SERIALIZED) {
+            assert_eq!(r.case.name, name);
+            assert_eq!(
+                r.case.makespan_s.to_bits(),
+                want.to_bits(),
+                "{name}: serialized makespan {} != pinned {want}",
+                r.case.makespan_s
+            );
+        }
+    }
+
     #[test]
     fn suite_profiles_carry_stream_data() {
         let results = run_suite(&SuiteOptions::default());

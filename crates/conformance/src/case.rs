@@ -16,9 +16,7 @@ use mfbc_fault::{FaultKind, FaultPlan, RetryPolicy, ScheduledFault};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineSpec, RedistMode};
 use mfbc_sparse::{spgemm_masked_serial, spgemm_serial, Coo, Csr, Mask, MaskKind};
-use mfbc_tensor::{
-    canonical_layout, enumerate_plans, mm_auto, mm_auto_masked, mm_exec, mm_exec_masked, DistMat,
-};
+use mfbc_tensor::{canonical_layout, enumerate_plans, mm, DistMat, MmOpts};
 
 /// Whether `MFBC_CONFORMANCE_FORCE_MASK` is set: the nightly CI job
 /// uses it to force the output-mask dimension on in every generated
@@ -237,7 +235,7 @@ impl MmCase {
             let machine = Machine::new(spec.clone());
             let da = DistMat::from_global(canonical_layout(&machine, self.m, self.k), &a);
             let db = DistMat::from_global(canonical_layout(&machine, self.k, self.n), &b);
-            let out = mm_exec::<K>(&machine, &plan, &da, &db)
+            let (out, _) = mm::<K>(&machine, &da, &db, MmOpts::fixed(&plan))
                 .map_err(|e| format!("plan {plan}: machine error: {e}"))?;
             out.c
                 .validate()
@@ -258,12 +256,12 @@ impl MmCase {
         let machine = Machine::new(spec);
         let da = DistMat::from_global(canonical_layout(&machine, self.m, self.k), &a);
         let db = DistMat::from_global(canonical_layout(&machine, self.k, self.n), &b);
-        let (out, plan) =
-            mm_auto::<K>(&machine, &da, &db).map_err(|e| format!("mm_auto: machine error: {e}"))?;
+        let (out, plan) = mm::<K>(&machine, &da, &db, MmOpts::default())
+            .map_err(|e| format!("mm (autotuned): machine error: {e}"))?;
         let got = out.c.to_global::<K::Acc>();
         if let Some(diff) = expected.mat.first_difference(&got) {
             return Err(format!(
-                "mm_auto (chose {plan}): diverges from serial: {diff}"
+                "mm (autotuned, chose {plan}): diverges from serial: {diff}"
             ));
         }
         if let Some((kind, coords)) = &self.mask {
@@ -302,8 +300,16 @@ impl MmCase {
             let machine = Machine::new(spec.clone());
             let da = DistMat::from_global(canonical_layout(&machine, self.m, self.k), a);
             let db = DistMat::from_global(canonical_layout(&machine, self.k, self.n), b);
-            let out = mm_exec_masked::<K>(&machine, &plan, &da, &db, Some(&mask))
-                .map_err(|e| format!("{kind:?} mask, plan {plan}: machine error: {e}"))?;
+            let (out, _) = mm::<K>(
+                &machine,
+                &da,
+                &db,
+                MmOpts {
+                    mask: Some(&mask),
+                    ..MmOpts::fixed(&plan)
+                },
+            )
+            .map_err(|e| format!("{kind:?} mask, plan {plan}: machine error: {e}"))?;
             out.c
                 .validate()
                 .map_err(|e| format!("{kind:?} mask, plan {plan}: invalid result: {e}"))?;
@@ -323,12 +329,20 @@ impl MmCase {
         let machine = Machine::new(spec);
         let da = DistMat::from_global(canonical_layout(&machine, self.m, self.k), a);
         let db = DistMat::from_global(canonical_layout(&machine, self.k, self.n), b);
-        let (out, plan) = mm_auto_masked::<K>(&machine, &da, &db, Some(&mask))
-            .map_err(|e| format!("{kind:?} mask, mm_auto_masked: machine error: {e}"))?;
+        let (out, plan) = mm::<K>(
+            &machine,
+            &da,
+            &db,
+            MmOpts {
+                mask: Some(&mask),
+                ..MmOpts::default()
+            },
+        )
+        .map_err(|e| format!("{kind:?} mask, mm (autotuned): machine error: {e}"))?;
         let got = out.c.to_global::<K::Acc>();
         if let Some(diff) = expected.mat.first_difference(&got) {
             return Err(format!(
-                "{kind:?} mask, mm_auto_masked (chose {plan}): diverges from masked serial: {diff}"
+                "{kind:?} mask, mm (autotuned, chose {plan}): diverges from masked serial: {diff}"
             ));
         }
         Ok(())

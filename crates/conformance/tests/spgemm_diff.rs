@@ -22,7 +22,7 @@ where
     KernelOut<K>: Clone + PartialEq + std::fmt::Debug,
 {
     let serial = spgemm_serial::<K>(a, b);
-    let par = spgemm::<K>(a, b);
+    let par = spgemm::<K>(a, b, None);
     if let Some(diff) = serial.mat.first_difference(&par.mat) {
         return Err(format!(
             "parallel spgemm diverges from serial ({}x{} · {}x{}): {diff}",
@@ -199,9 +199,9 @@ fn spgemm_bit_identical_across_thread_counts() {
         let case = DiffCase::generate(seed);
         let a = DiffCase::csr((case.m, case.k), &case.a);
         let b = DiffCase::csr((case.k, case.n), &case.b);
-        let reference = mfbc_parallel::with_threads(1, || spgemm::<TropicalKernel>(&a, &b));
+        let reference = mfbc_parallel::with_threads(1, || spgemm::<TropicalKernel>(&a, &b, None));
         for &t in &THREAD_COUNTS[1..] {
-            let out = mfbc_parallel::with_threads(t, || spgemm::<TropicalKernel>(&a, &b));
+            let out = mfbc_parallel::with_threads(t, || spgemm::<TropicalKernel>(&a, &b, None));
             assert_eq!(
                 reference.mat.first_difference(&out.mat),
                 None,
@@ -222,7 +222,7 @@ fn zero_by_n_and_n_by_zero_shapes() {
         let a = Csr::<Dist>::zero(m, k);
         let b = Csr::<Dist>::zero(k, n);
         assert_par_matches_serial::<TropicalKernel>(&a, &b).unwrap();
-        let out = spgemm::<TropicalKernel>(&a, &b);
+        let out = spgemm::<TropicalKernel>(&a, &b, None);
         assert_eq!((out.mat.nrows(), out.mat.ncols()), (m, n));
         assert_eq!(out.mat.nnz(), 0);
         assert_eq!(out.ops, 0);
@@ -246,7 +246,7 @@ fn empty_rows_and_columns() {
     let b = cb.into_csr::<MinDist>();
     for_each_thread_count(|| {
         assert_par_matches_serial::<TropicalKernel>(&a, &b).unwrap();
-        let out = spgemm::<TropicalKernel>(&a, &b);
+        let out = spgemm::<TropicalKernel>(&a, &b, None);
         // Exactly one output entry: (17, 23) = min_j (j + j).
         assert_eq!(out.mat.nnz(), 1);
         assert_eq!(out.mat.get(17, 23), Some(&Dist::new(0)));
@@ -294,7 +294,7 @@ fn fully_dense_blocks() {
     let b = cb.into_csr::<MinDist>();
     for_each_thread_count(|| {
         assert_par_matches_serial::<TropicalKernel>(&a, &b).unwrap();
-        let out = spgemm::<TropicalKernel>(&a, &b);
+        let out = spgemm::<TropicalKernel>(&a, &b, None);
         assert_eq!(out.mat.nnz(), 1600);
         assert_eq!(out.ops, 40 * 40 * 40);
     });

@@ -17,9 +17,9 @@ use mfbc_algebra::Dist;
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::{spgemm, Coo, Csr};
-use mfbc_tensor::autotune::mm_auto;
 use mfbc_tensor::ops::dmat_combine;
 use mfbc_tensor::{canonical_layout, DistMat};
+use mfbc_tensor::{mm, MmOpts};
 
 /// Adds the zero-distance diagonal to an adjacency matrix (paths of
 /// length 0), the identity element of tropical matrix powering.
@@ -37,7 +37,7 @@ fn with_diagonal(a: &Csr<Dist>) -> Csr<Dist> {
 pub fn apsp_seq(g: &Graph) -> Csr<Dist> {
     let mut d = with_diagonal(g.adjacency());
     loop {
-        let squared = spgemm::<TropicalKernel>(&d, &d).mat;
+        let squared = spgemm::<TropicalKernel>(&d, &d, None).mat;
         if squared == d {
             return d;
         }
@@ -68,7 +68,7 @@ pub fn apsp_dist(machine: &Machine, g: &Graph) -> Result<ApspRun, MachineError> 
 
     loop {
         rounds += 1;
-        let squared = mm_auto::<TropicalKernel>(machine, &d, &d)?.0;
+        let squared = mm::<TropicalKernel>(machine, &d, &d, MmOpts::default())?.0;
         // min-combine keeps the matrices aligned and makes the
         // fixpoint test a plain equality.
         let merged = dmat_combine::<MinDist, _>(machine, &d, &squared.c);

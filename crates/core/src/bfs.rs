@@ -17,10 +17,10 @@ use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
 use mfbc_sparse::{spgemm, Coo, Csr};
-use mfbc_tensor::autotune::mm_auto_cached;
 use mfbc_tensor::cache::MmCache;
 use mfbc_tensor::ops::{dmat_combine, dmat_zip_filter, nnz_sync};
 use mfbc_tensor::{canonical_layout, DistMat};
+use mfbc_tensor::{mm, MmOpts};
 
 /// Distances from each source in `sources` to every vertex:
 /// `out.get(s, v) == Some(τ(sources[s], v))` for reachable `v ≠
@@ -40,7 +40,7 @@ pub fn sssp_seq(g: &Graph, sources: &[usize]) -> Csr<Dist> {
     let mut frontier = dist.clone();
 
     while !frontier.is_empty() {
-        let explored = spgemm::<TropicalKernel>(&frontier, a).mat;
+        let explored = spgemm::<TropicalKernel>(&frontier, a, None).mat;
         let updated = combine::<MinDist, _>(&dist, &explored);
         // Next frontier: entries that improved the table.
         frontier =
@@ -76,7 +76,16 @@ pub fn sssp_dist(
 
     let result = (|| {
         while nnz_sync(machine, &frontier)? > 0 {
-            let explored = mm_auto_cached::<TropicalKernel>(machine, &frontier, &da, &mut cache)?.0;
+            let explored = mm::<TropicalKernel>(
+                machine,
+                &frontier,
+                &da,
+                MmOpts {
+                    cache: Some(&mut cache),
+                    ..MmOpts::default()
+                },
+            )?
+            .0;
             let updated = dmat_combine::<MinDist, _>(machine, &dist, &explored.c);
             frontier = dmat_zip_filter::<MinDist, _, _, _>(
                 machine,

@@ -82,7 +82,7 @@ pub fn connected_components(g: &Graph) -> Vec<u64> {
     let mut frontier = labels.clone();
 
     while !frontier.is_empty() {
-        let explored = spgemm::<LabelKernel>(&frontier, &adj).mat;
+        let explored = spgemm::<LabelKernel>(&frontier, &adj, None).mat;
         let updated = combine::<MinLabel, _>(&labels, &explored);
         frontier = explored
             .filter(|s, v, lab| updated.get(s, v) == Some(lab) && labels.get(s, v) != Some(lab));

@@ -21,7 +21,7 @@ use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::{Coo, MaskKind};
 use mfbc_tensor::cache::MmCache;
 use mfbc_tensor::ops::{dmat_column_sums, dmat_combine, dmat_zip_filter, nnz_sync};
-use mfbc_tensor::{canonical_layout, mm_exec_cached_masked, DistMat, MmPlan, Variant1D, Variant2D};
+use mfbc_tensor::{canonical_layout, mm, DistMat, MmOpts, MmPlan, Variant1D, Variant2D};
 
 /// Failure modes of the baseline.
 #[derive(Clone, Debug, PartialEq)]
@@ -195,13 +195,15 @@ fn batch(
         // an output mask prunes already-discovered products inside
         // the multiply instead of filtering them out afterwards.
         let unvisited = crate::dist::pattern_mask_of(MaskKind::Complement, &sigma);
-        let explored = mm_exec_cached_masked::<CountKernel>(
+        let (explored, _) = mm::<CountKernel>(
             machine,
-            plan,
             cur,
             da,
-            Some(&unvisited),
-            fwd_cache,
+            MmOpts {
+                mask: Some(&unvisited),
+                cache: Some(fwd_cache),
+                ..MmOpts::fixed(plan)
+            },
         )?;
         run.ops += explored.ops;
         let next = explored.c;
@@ -225,13 +227,15 @@ fn batch(
         // Restrict to true predecessors (level l−1) via a structural
         // output mask on the multiply; the zip then only scales by σ.
         let preds = crate::dist::pattern_mask_of(MaskKind::Structural, &fronts[l - 1]);
-        let contrib = mm_exec_cached_masked::<CountKernel>(
+        let (contrib, _) = mm::<CountKernel>(
             machine,
-            plan,
             &wl,
             dat,
-            Some(&preds),
-            back_cache,
+            MmOpts {
+                mask: Some(&preds),
+                cache: Some(back_cache),
+                ..MmOpts::fixed(plan)
+            },
         )?;
         run.ops += contrib.ops;
         let upd = dmat_zip_filter::<SumF64, _, _, f64>(

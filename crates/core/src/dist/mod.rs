@@ -26,13 +26,12 @@ use mfbc_algebra::{Centpath, CentpathMonoid, Multpath, MultpathMonoid};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::{Coo, Mask, MaskKind};
-use mfbc_tensor::autotune::mm_auto_cached_masked;
 use mfbc_tensor::cache::{CacheStats, MmCache};
 use mfbc_tensor::ops::{
     dmat_combine, dmat_combine_anchored, dmat_fold_columns, dmat_map_filter, dmat_zip_filter,
     nnz_sync,
 };
-use mfbc_tensor::{canonical_layout, mm_exec_cached_masked, DistMat, MmPlan, Variant1D, Variant2D};
+use mfbc_tensor::{canonical_layout, mm, DistMat, MmOpts, MmPlan, Variant1D, Variant2D};
 
 /// How multiplication plans are chosen.
 #[derive(Clone, Debug)]
@@ -777,27 +776,6 @@ impl Drop for MfbcSession {
     }
 }
 
-fn mm_step<K: mfbc_algebra::SpMulKernel>(
-    machine: &Machine,
-    plan: Option<&MmPlan>,
-    f: &DistMat<K::Left>,
-    a: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-    cache: Option<&mut MmCache<K::Right>>,
-) -> Result<mfbc_tensor::MmOut<mfbc_algebra::kernel::KernelOut<K>>, MachineError> {
-    match cache {
-        Some(cache) => match plan {
-            Some(p) => mm_exec_cached_masked::<K>(machine, p, f, a, mask, cache),
-            None => mm_auto_cached_masked::<K>(machine, f, a, mask, cache).map(|(out, _)| out),
-        },
-        // Un-amortized: every product pays its own preparation.
-        None => match plan {
-            Some(p) => mfbc_tensor::mm_exec_masked::<K>(machine, p, f, a, mask),
-            None => mfbc_tensor::mm_auto_masked::<K>(machine, f, a, mask).map(|(out, _)| out),
-        },
-    }
-}
-
 /// The complement mask of a distributed matrix's pattern — for the
 /// forward step, `T` (`Numsp`) holds every vertex already discovered
 /// per source, so its complement admits exactly the undiscovered
@@ -897,13 +875,15 @@ fn batch(
         // nothing downstream — it just skips the products (and lets
         // redistribution skip B columns the mask rules out).
         let mask = masked.then(|| complement_mask_of(&t));
-        let explored = mm_step::<BellmanFordKernel>(
+        let (explored, _) = mm::<BellmanFordKernel>(
             machine,
-            plan,
             &frontier,
             da,
-            mask.as_ref(),
-            caches.as_mut().map(|(f, _)| &mut **f),
+            MmOpts {
+                plan: plan.into(),
+                mask: mask.as_ref(),
+                cache: caches.as_mut().map(|(f, _)| &mut **f),
+            },
         )?;
         run.ops += explored.ops;
         let t_new = dmat_combine::<MultpathMonoid, _>(machine, &t, &explored.c);
@@ -930,13 +910,15 @@ fn batch(
     let seeds = dmat_map_filter::<CentpathMonoid, _, _>(machine, &t, |_, _, mp: &Multpath| {
         Some(Centpath::new(mp.w, 0.0, 1))
     });
-    let counted = mm_step::<BrandesKernel>(
+    let (counted, _) = mm::<BrandesKernel>(
         machine,
-        plan,
         &seeds,
         dat,
-        bmask.as_ref(),
-        caches.as_mut().map(|(_, b)| &mut **b),
+        MmOpts {
+            plan: plan.into(),
+            mask: bmask.as_ref(),
+            cache: caches.as_mut().map(|(_, b)| &mut **b),
+        },
     )?;
     run.ops += counted.ops;
     let mut z =
@@ -958,13 +940,15 @@ fn batch(
         });
         step += 1;
         run.backward_iterations += 1;
-        let back = mm_step::<BrandesKernel>(
+        let (back, _) = mm::<BrandesKernel>(
             machine,
-            plan,
             &bfrontier,
             dat,
-            bmask.as_ref(),
-            caches.as_mut().map(|(_, b)| &mut **b),
+            MmOpts {
+                plan: plan.into(),
+                mask: bmask.as_ref(),
+                cache: caches.as_mut().map(|(_, b)| &mut **b),
+            },
         )?;
         run.ops += back.ops;
         z = dmat_combine_anchored::<CentpathMonoid, _>(machine, &z, &back.c);

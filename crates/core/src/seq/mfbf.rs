@@ -77,7 +77,7 @@ pub fn mfbf_seq(g: &Graph, sources: &[usize]) -> MfbfOut {
     while !frontier.is_empty() {
         iterations += 1;
         // Line 4: explore nodes adjacent to the frontier.
-        let explored = spgemm::<BellmanFordKernel>(&frontier, a);
+        let explored = spgemm::<BellmanFordKernel>(&frontier, a, None);
         ops += explored.ops;
         let g_mat = explored.mat;
         explored_nnz += g_mat.nnz() as u64;

@@ -43,7 +43,7 @@ pub fn mfbr_seq(g: &Graph, t: &Csr<Multpath>) -> MfbrOut {
     // Lines 1–2: count each vertex's shortest-path children by one
     // generalized product of per-entry (τ, 0, 1) seeds with Aᵀ.
     let seeds = t.map(|_, _, mp| Centpath::new(mp.w, 0.0, 1));
-    let counted = spgemm::<BrandesKernel>(&seeds, &at);
+    let counted = spgemm::<BrandesKernel>(&seeds, &at, None);
     ops += counted.ops;
     let mut z = t.map(|s, v, mp| mfbr_anchor(mp, counted.mat.get(s, v)));
 
@@ -56,7 +56,7 @@ pub fn mfbr_seq(g: &Graph, t: &Csr<Multpath>) -> MfbrOut {
     while !frontier.is_empty() {
         iterations += 1;
         // Line 6: back-propagate the frontier of centralities.
-        let back = spgemm::<BrandesKernel>(&frontier, &at);
+        let back = spgemm::<BrandesKernel>(&frontier, &at, None);
         ops += back.ops;
         // Line 8: accumulate centralities and decrement counters
         // (frontier entries carry c = −1 each).

@@ -87,8 +87,10 @@ impl<T> Volume for mfbc_sparse::Coo<T> {
     }
 }
 
-/// The result of a nonblocking collective: the delivered buffers plus
-/// the machine handle that must be waited on before they may be used.
+/// The result of a collective started with
+/// [`Machine::start_collective`]: the delivered buffers plus, under
+/// overlapped accounting, the machine handle that must be waited on
+/// before they may be used.
 ///
 /// The simulated data movement happens eagerly at issue (the simulated
 /// wire is in-process), so the *values* are already here — but using
@@ -106,38 +108,18 @@ pub struct Pending<T> {
 }
 
 impl<T> Pending<T> {
-    /// Wraps an already-complete value (singleton groups issue no
-    /// collective, so there is nothing to wait for).
+    /// Wraps an already-complete value (nothing in flight, e.g. a
+    /// cache hit).
     pub fn ready(value: T) -> Pending<T> {
-        Pending {
-            value,
-            handle: None,
-        }
+        Pending::new(value, None)
     }
 
-    fn inflight(value: T, handle: u64) -> Pending<T> {
-        Pending {
-            value,
-            handle: Some(handle),
-        }
-    }
-
-    /// Pairs a value with the handle of a collective already issued
-    /// via [`Machine::icharge_collective`] — for callers (like the
-    /// tensor layer's redistribution and replication paths) that
-    /// charge the machine directly rather than through the typed
-    /// wrappers in this module.
-    pub fn issued(value: T, handle: u64) -> Pending<T> {
-        Pending::inflight(value, handle)
-    }
-
-    /// Transforms the gated value without touching the handle: the
-    /// result still requires the same wait before use.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Pending<U> {
-        Pending {
-            value: f(self.value),
-            handle: self.handle,
-        }
+    /// Pairs a value with the handle [`Machine::start_collective`]
+    /// returned for the collective that moved it: `Some` when it is
+    /// still in flight (overlapped accounting), `None` when it was
+    /// charged on the spot.
+    pub fn new(value: T, handle: Option<u64>) -> Pending<T> {
+        Pending { value, handle }
     }
 
     /// The machine handle, if a collective is actually in flight.
@@ -189,24 +171,6 @@ pub fn broadcast<T: Volume>(
     Ok((0..g.len()).map(|_| Arc::clone(&data)).collect())
 }
 
-/// Nonblocking [`broadcast`]: issues the collective and returns the
-/// replicated handles behind a [`Pending`] gate.
-pub fn ibroadcast<T: Volume>(
-    m: &Machine,
-    g: &Group,
-    root: usize,
-    data: Arc<T>,
-) -> Result<Pending<Vec<Arc<T>>>, MachineError> {
-    assert!(root < g.len(), "broadcast root outside group");
-    let out: Vec<Arc<T>> = (0..g.len()).map(|_| Arc::clone(&data)).collect();
-    if g.len() > 1 {
-        let h = m.icharge_collective(g, CollectiveKind::Broadcast, data.comm_bytes())?;
-        Ok(Pending::inflight(out, h))
-    } else {
-        Ok(Pending::ready(out))
-    }
-}
-
 /// Reduce: combines one contribution per member into a single value
 /// delivered at the root. `combine` must be associative and
 /// commutative; contributions are folded in group order so results
@@ -246,27 +210,6 @@ pub fn sparse_reduce<T: Volume>(
     Ok(result)
 }
 
-/// Nonblocking [`sparse_reduce`]: the combine runs eagerly (the
-/// result size sets the charge), the charge is issued, and the result
-/// is released by [`Pending::wait`].
-pub fn isparse_reduce<T: Volume>(
-    m: &Machine,
-    g: &Group,
-    contribs: Vec<T>,
-    mut combine: impl FnMut(T, T) -> T,
-) -> Result<Pending<T>, MachineError> {
-    assert_eq!(contribs.len(), g.len(), "one contribution per member");
-    let mut it = contribs.into_iter();
-    let first = it.next().expect("group is non-empty");
-    let result = it.fold(first, &mut combine);
-    if g.len() > 1 {
-        let h = m.icharge_collective(g, CollectiveKind::SparseReduce, result.comm_bytes())?;
-        Ok(Pending::inflight(result, h))
-    } else {
-        Ok(Pending::ready(result))
-    }
-}
-
 /// Allreduce: every member ends with the combined value.
 pub fn allreduce<T: Volume>(
     m: &Machine,
@@ -299,25 +242,6 @@ pub fn allgather<T: Volume>(
     }
     let all = Arc::new(parts);
     Ok((0..g.len()).map(|_| Arc::clone(&all)).collect())
-}
-
-/// Nonblocking [`allgather`]: issues the collective and returns the
-/// concatenated handles behind a [`Pending`] gate.
-pub fn iallgather<T: Volume>(
-    m: &Machine,
-    g: &Group,
-    parts: Vec<T>,
-) -> Result<Pending<Vec<Arc<Vec<T>>>>, MachineError> {
-    assert_eq!(parts.len(), g.len(), "one piece per member");
-    let bytes = parts.comm_bytes();
-    let all = Arc::new(parts);
-    let out: Vec<Arc<Vec<T>>> = (0..g.len()).map(|_| Arc::clone(&all)).collect();
-    if g.len() > 1 {
-        let h = m.icharge_collective(g, CollectiveKind::Allgather, bytes)?;
-        Ok(Pending::inflight(out, h))
-    } else {
-        Ok(Pending::ready(out))
-    }
 }
 
 /// Gather: all pieces end at the root, in group order.
@@ -477,7 +401,13 @@ mod tests {
     fn pending_take_before_wait_is_a_typed_error() {
         let m = Machine::new(MachineSpec::test(4).with_overlap(true));
         let g = m.world();
-        let pending = iallgather(&m, &g, vec![10u64, 20, 30, 40]).unwrap();
+        let start = || {
+            let h = m
+                .start_collective(&g, CollectiveKind::Allgather, 32)
+                .unwrap();
+            Pending::new(vec![10u64, 20, 30, 40], h)
+        };
+        let pending = start();
         let h = pending.handle().unwrap();
         // Using the buffer with the handle outstanding is refused.
         let err = pending.take(&m).unwrap_err();
@@ -489,58 +419,9 @@ mod tests {
             }
         );
         // After waitall the (re-issued) buffer is released.
-        let pending = iallgather(&m, &g, vec![10u64, 20, 30, 40]).unwrap();
+        let pending = start();
         m.waitall().unwrap();
-        let out = pending.take(&m).unwrap();
-        assert_eq!(*out[2], vec![10, 20, 30, 40]);
-    }
-
-    #[test]
-    fn nonblocking_wrappers_match_blocking_results_and_meters() {
-        let run_blocking = |m: &Machine| {
-            let g = m.world();
-            let b = broadcast(m, &g, 0, Arc::new(vec![1u64, 2])).unwrap();
-            let a = allgather(m, &g, vec![1u64, 2, 3]).unwrap();
-            let s = sparse_reduce(m, &g, vec![1u64, 2, 3], |x, y| x + y).unwrap();
-            (b, a, s)
-        };
-        let run_nonblocking = |m: &Machine| {
-            let g = m.world();
-            let b = ibroadcast(m, &g, 0, Arc::new(vec![1u64, 2]))
-                .unwrap()
-                .wait(m)
-                .unwrap();
-            let a = iallgather(m, &g, vec![1u64, 2, 3])
-                .unwrap()
-                .wait(m)
-                .unwrap();
-            let s = isparse_reduce(m, &g, vec![1u64, 2, 3], |x, y| x + y)
-                .unwrap()
-                .wait(m)
-                .unwrap();
-            (b, a, s)
-        };
-        let m1 = machine(3);
-        let m2 = machine(3);
-        let (b1, a1, s1) = run_blocking(&m1);
-        let (b2, a2, s2) = run_nonblocking(&m2);
-        assert_eq!(*b1[0], *b2[0]);
-        assert_eq!(*a1[1], *a2[1]);
-        assert_eq!(s1, s2);
-        // Back-to-back issue/wait charges identically to blocking.
-        assert_eq!(m1.report().critical, m2.report().critical);
-        assert_eq!(m1.makespan_s().to_bits(), m2.makespan_s().to_bits());
-    }
-
-    #[test]
-    fn singleton_nonblocking_collectives_are_free() {
-        let m = machine(1);
-        let g = m.world();
-        let p = ibroadcast(&m, &g, 0, Arc::new(7u64)).unwrap();
-        assert!(p.handle().is_none());
-        assert_eq!(*p.take(&m).unwrap()[0], 7);
-        assert_eq!(m.outstanding_collectives(), 0);
-        assert_eq!(m.report().critical.msgs, 0);
+        assert_eq!(pending.take(&m).unwrap(), vec![10, 20, 30, 40]);
     }
 
     #[test]

@@ -409,6 +409,29 @@ impl Machine {
         Ok(handle)
     }
 
+    /// Starts a collective the way the spec accounts for it — the one
+    /// place the blocking-versus-overlapped choice is made. Under
+    /// `spec.overlap` the collective is issued nonblocking
+    /// ([`Machine::icharge_collective`]) and its handle returned; the
+    /// caller waits it before using the moved data. Otherwise it is
+    /// charged on the spot ([`Machine::charge_collective`], same
+    /// `Collective` trace event) and there is nothing to wait on. A
+    /// singleton group moves nothing: no charge, no fault-clock tick.
+    pub fn start_collective(
+        &self,
+        group: &Group,
+        kind: CollectiveKind,
+        bytes: u64,
+    ) -> Result<Option<u64>, MachineError> {
+        if group.len() <= 1 {
+            Ok(None)
+        } else if self.spec.overlap {
+            self.icharge_collective(group, kind, bytes).map(Some)
+        } else {
+            self.charge_collective(group, kind, bytes).map(|()| None)
+        }
+    }
+
     /// Completes a nonblocking collective: charges its meters (raise
     /// to group max, then add — identical to the blocking path) and
     /// advances the causal clocks, with the transfer window anchored
@@ -914,6 +937,41 @@ mod tests {
             m.wait_collective(h),
             Err(MachineError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn start_collective_follows_the_spec() {
+        let blocking = Machine::new(MachineSpec::test(4));
+        let reference = Machine::new(MachineSpec::test(4));
+        let overlapped = Machine::new(MachineSpec::test(4).with_overlap(true));
+        let g = blocking.world();
+        // Blocking: charged on the spot, exactly like charge_collective.
+        let h = blocking
+            .start_collective(&g, CollectiveKind::Broadcast, 100)
+            .unwrap();
+        assert_eq!(h, None);
+        reference
+            .charge_collective(&g, CollectiveKind::Broadcast, 100)
+            .unwrap();
+        assert_eq!(blocking.report().critical, reference.report().critical);
+        assert_eq!(blocking.collective_seq(), reference.collective_seq());
+        // Overlapped: issued, charged only at the wait.
+        let h = overlapped
+            .start_collective(&g, CollectiveKind::Broadcast, 100)
+            .unwrap()
+            .expect("a multi-rank group issues a handle");
+        assert_eq!(overlapped.report().critical.msgs, 0);
+        overlapped.wait_collective(h).unwrap();
+        assert_eq!(overlapped.report().critical, reference.report().critical);
+        // Singletons are free in both modes and do not tick the fault
+        // clock.
+        let solo = Group::new(vec![2]).unwrap();
+        for m in [&blocking, &overlapped] {
+            let seq = m.collective_seq();
+            let h = m.start_collective(&solo, CollectiveKind::Allgather, 8);
+            assert_eq!(h, Ok(None));
+            assert_eq!(m.collective_seq(), seq);
+        }
     }
 
     #[test]

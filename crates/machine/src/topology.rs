@@ -8,12 +8,9 @@ pub enum RedistMode {
     Alltoall,
     /// Sparsity-driven hybrid: per source block, pick broadcast or
     /// targeted point-to-point sends by comparing their modeled costs
-    /// on the block's actual byte volume and destination fan-out.
+    /// on the block's actual byte volume and destination fan-out —
+    /// or the all-to-all when it undercuts the whole hybrid schedule.
     Auto,
-    /// Force a broadcast from each source over its destination set.
-    Bcast,
-    /// Force targeted point-to-point sends for every block.
-    P2p,
 }
 
 impl RedistMode {
@@ -22,8 +19,6 @@ impl RedistMode {
         match self {
             RedistMode::Alltoall => "alltoall",
             RedistMode::Auto => "auto",
-            RedistMode::Bcast => "bcast",
-            RedistMode::P2p => "p2p",
         }
     }
 
@@ -32,8 +27,6 @@ impl RedistMode {
         Some(match name {
             "alltoall" => RedistMode::Alltoall,
             "auto" => RedistMode::Auto,
-            "bcast" => RedistMode::Bcast,
-            "p2p" => RedistMode::P2p,
             _ => return None,
         })
     }
@@ -176,22 +169,19 @@ mod tests {
         }
         let s = MachineSpec::gemini(4)
             .with_overlap(false)
-            .with_redist(RedistMode::P2p);
+            .with_redist(RedistMode::Alltoall);
         assert!(!s.overlap);
-        assert_eq!(s.redist, RedistMode::P2p);
+        assert_eq!(s.redist, RedistMode::Alltoall);
     }
 
     #[test]
     fn redist_mode_names_roundtrip() {
-        for m in [
-            RedistMode::Alltoall,
-            RedistMode::Auto,
-            RedistMode::Bcast,
-            RedistMode::P2p,
-        ] {
+        for m in [RedistMode::Alltoall, RedistMode::Auto] {
             assert_eq!(RedistMode::from_name(m.name()), Some(m));
         }
-        assert_eq!(RedistMode::from_name("carrier_pigeon"), None);
+        for gone in ["bcast", "p2p", "carrier_pigeon"] {
+            assert_eq!(RedistMode::from_name(gone), None);
+        }
     }
 
     #[test]

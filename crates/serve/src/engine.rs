@@ -182,7 +182,9 @@ pub struct Health {
     pub store_version: u64,
     /// Whether the store holds the complete exact scores.
     pub exact_complete: bool,
-    /// Current machine size (shrinks after crash recovery).
+    /// Rank count of the machine the engine runs on: the survivors
+    /// after crash recovery, still reported once the exact session
+    /// has retired.
     pub p: usize,
     /// Responses served so far.
     pub served: u64,
@@ -282,6 +284,10 @@ pub struct Engine {
     /// Modeled clock of the finished session (the machine handle is
     /// gone after `finish`).
     final_clock_s: f64,
+    /// Rank count of the machine the retired session ran on — the
+    /// survivors after any shrink (the handle is gone after
+    /// `finish`).
+    final_p: usize,
     /// Modeled seconds spent outside the machine: retry backoff waits
     /// and degraded-estimate compute.
     extra_modeled_s: f64,
@@ -445,6 +451,7 @@ impl Engine {
             cache_stats: CacheStats::default(),
             window: VecDeque::new(),
             final_clock_s: 0.0,
+            final_p: machine.p(),
             extra_modeled_s: 0.0,
             committed_modeled_s: 0.0,
             committed_batches: 0,
@@ -855,6 +862,7 @@ impl Engine {
                 Ok(SessionStep::Done) => {
                     let mut session = self.session.take().expect("still live");
                     self.cache_stats = session.cache_stats();
+                    self.final_p = session.machine().p();
                     let run = session.finish();
                     self.final_clock_s = run.report.critical.total_time();
                     self.store.scores = run.scores;
@@ -868,6 +876,7 @@ impl Engine {
                     // modeled time) before dropping the handle.
                     if let Some(s) = &self.session {
                         self.cache_stats = s.cache_stats();
+                        self.final_p = s.machine().p();
                     }
                     self.final_clock_s = self
                         .session
@@ -979,8 +988,7 @@ impl Engine {
             p: self
                 .session
                 .as_ref()
-                .map(|s| s.machine().p())
-                .unwrap_or_default(),
+                .map_or(self.final_p, |s| s.machine().p()),
             served: self.served,
             shed: self.shed,
             breaker: breaker_name(self.breaker.state()),

@@ -30,13 +30,29 @@ pub enum WireCmd {
     Dump,
 }
 
+/// A line [`parse_line`] refused.
+#[derive(Clone, Debug, PartialEq)]
+pub struct InvalidLine {
+    /// The request id, when the line is JSON with a numeric `"id"` —
+    /// echoed on the refusal so the client can correlate it.
+    pub id: Option<u64>,
+    /// What was malformed.
+    pub detail: String,
+}
+
 /// Parses one JSON-lines request.
 ///
 /// # Errors
-/// Returns a message describing the malformed field; the caller
-/// answers with a `shed: invalid-request` line rather than dying.
-pub fn parse_line(line: &str) -> Result<WireCmd, String> {
-    let v = jsonio::parse(line)?;
+/// Returns the malformed field (and the id, if one parsed); the
+/// caller answers with a `shed: invalid-request` line
+/// ([`render_invalid`]) rather than dying.
+pub fn parse_line(line: &str) -> Result<WireCmd, InvalidLine> {
+    let v = jsonio::parse(line).map_err(|detail| InvalidLine { id: None, detail })?;
+    let id = v.get("id").and_then(Json::as_u64);
+    parse_value(&v, id).map_err(|detail| InvalidLine { id, detail })
+}
+
+fn parse_value(v: &Json, id: Option<u64>) -> Result<WireCmd, String> {
     if let Some(cmd) = v.get("cmd").and_then(Json::as_str) {
         return match cmd {
             "health" => Ok(WireCmd::Health),
@@ -44,10 +60,7 @@ pub fn parse_line(line: &str) -> Result<WireCmd, String> {
             other => Err(format!("unknown cmd {other:?}")),
         };
     }
-    let id = v
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or("request needs a numeric \"id\"")?;
+    let id = id.ok_or("request needs a numeric \"id\"")?;
     let query = match v.get("query").and_then(Json::as_str) {
         Some("topk") => Query::TopK {
             k: v.get("k")
@@ -128,12 +141,13 @@ pub fn render_shed(id: u64, reason: ShedReason) -> String {
     format!("{{\"id\":{id},\"shed\":\"{}\"}}", reason.name())
 }
 
-/// Renders the refusal line for an unparseable submission (no
-/// trustworthy id).
-pub fn render_invalid(detail: &str) -> String {
+/// Renders the refusal line for an unparseable submission, echoing
+/// the request id when one parsed.
+pub fn render_invalid(err: &InvalidLine) -> String {
+    let id = err.id.map(|id| format!("\"id\":{id},")).unwrap_or_default();
     format!(
-        "{{\"shed\":\"invalid-request\",\"detail\":\"{}\"}}",
-        jsonio::esc(detail)
+        "{{{id}\"shed\":\"invalid-request\",\"detail\":\"{}\"}}",
+        jsonio::esc(&err.detail)
     )
 }
 
@@ -211,6 +225,33 @@ mod tests {
             r#"{"cmd":"restart"}"#,
         ] {
             assert!(parse_line(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn invalid_lines_echo_the_id_when_it_parsed() {
+        let err = parse_line(r#"{"id":7,"query":"topk","k":2,"deadline_s":-1}"#).unwrap_err();
+        assert_eq!(err.id, Some(7));
+        let v = jsonio::parse(&render_invalid(&err)).unwrap();
+        assert_eq!(v.get("id").and_then(Json::as_u64), Some(7));
+        assert_eq!(
+            v.get("shed").and_then(Json::as_str),
+            Some("invalid-request")
+        );
+        assert!(v
+            .get("detail")
+            .and_then(Json::as_str)
+            .is_some_and(|d| d.contains("deadline_s")));
+        // No trustworthy id: the refusal carries none.
+        for bad in ["not json", r#"{"id":"7","query":"full"}"#] {
+            let err = parse_line(bad).unwrap_err();
+            assert_eq!(err.id, None, "{bad}");
+            let v = jsonio::parse(&render_invalid(&err)).unwrap();
+            assert!(v.get("id").is_none(), "{bad}");
+            assert_eq!(
+                v.get("shed").and_then(Json::as_str),
+                Some("invalid-request")
+            );
         }
     }
 

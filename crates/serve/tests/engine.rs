@@ -199,6 +199,31 @@ fn crash_fault_is_absorbed_and_still_serves_the_clean_bits() {
 }
 
 #[test]
+fn health_reports_the_surviving_rank_count_after_the_session_retires() {
+    let g = ladder();
+    let cfg = MfbcConfig::default().with_batch_size(2);
+    let clean = Machine::new(MachineSpec::test(8));
+    let mut engine = Engine::new(&clean, g.clone(), &cfg, EngineConfig::default()).unwrap();
+    assert_eq!(engine.health().p, 8);
+    engine.submit(full(1));
+    engine.drain();
+    assert!(engine.exact_complete());
+    assert_eq!(engine.health().p, 8, "p survives the finished session");
+
+    // A crash shrinks the machine 8 → 7; health reports the survivors.
+    let faulted = Machine::with_faults(
+        MachineSpec::test(8),
+        FaultPlan::parse("crash:3@5").unwrap(),
+        RetryPolicy::default(),
+    );
+    let mut engine = Engine::new(&faulted, g, &cfg, EngineConfig::default()).unwrap();
+    engine.submit(full(1));
+    engine.drain();
+    assert!(engine.exact_complete());
+    assert_eq!(engine.health().p, 7);
+}
+
+#[test]
 fn unrecoverable_crash_poisons_but_keeps_serving_stale() {
     // Same scenario as the core session test: crash at p = 2 under a
     // budget the single survivor cannot rebuild in. The engine stops

@@ -208,7 +208,32 @@ fn assemble<K: SpMulKernel>(
     }
 }
 
-/// Sequential generalized SpGEMM (row-wise Gustavson).
+/// Checks operand (and mask) shapes of a multiplication.
+fn check_shapes<L, R>(a: &Csr<L>, b: &Csr<R>, mask: Option<&Mask>) {
+    assert_eq!(
+        a.ncols(),
+        b.nrows(),
+        "spgemm inner dimension mismatch: {}x{} by {}x{}",
+        a.nrows(),
+        a.ncols(),
+        b.nrows(),
+        b.ncols()
+    );
+    if let Some(mask) = mask {
+        assert_eq!(
+            (mask.nrows(), mask.ncols()),
+            (a.nrows(), b.ncols()),
+            "mask shape {}x{} does not match output shape {}x{}",
+            mask.nrows(),
+            mask.ncols(),
+            a.nrows(),
+            b.ncols()
+        );
+    }
+}
+
+/// Sequential generalized SpGEMM (row-wise Gustavson) — the oracle
+/// unmasked [`spgemm`] must match bit-for-bit at any thread count.
 ///
 /// # Panics
 /// Panics if the inner dimensions disagree.
@@ -216,45 +241,16 @@ pub fn spgemm_serial<K: SpMulKernel>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
 ) -> SpGemmOut<KernelOut<K>> {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "spgemm inner dimension mismatch: {}x{} by {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
+    check_shapes(a, b, None);
     let mut spa = Spa::new(b.ncols(), <K::Acc as Monoid>::identity());
     let chunk = multiply_rows::<K>(a, b, 0..a.nrows(), &mut spa);
     assemble::<K>(a.nrows(), b.ncols(), vec![chunk])
 }
 
-/// Checks operand and mask shapes for a masked multiplication.
-fn check_mask_shapes<L, R>(a: &Csr<L>, b: &Csr<R>, mask: &Mask) {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "spgemm inner dimension mismatch: {}x{} by {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    assert_eq!(
-        (mask.nrows(), mask.ncols()),
-        (a.nrows(), b.ncols()),
-        "mask shape {}x{} does not match output shape {}x{}",
-        mask.nrows(),
-        mask.ncols(),
-        a.nrows(),
-        b.ncols()
-    );
-}
-
 /// Sequential masked SpGEMM: like [`spgemm_serial`] but elementary
 /// products whose output coordinate `mask` excludes are skipped
-/// before they are formed (not accumulated, not counted in `ops`).
+/// before they are formed (not accumulated, not counted in `ops`) —
+/// the oracle for masked [`spgemm`].
 ///
 /// # Panics
 /// Panics if the inner dimensions disagree or the mask shape differs
@@ -264,7 +260,7 @@ pub fn spgemm_masked_serial<K: SpMulKernel>(
     b: &Csr<K::Right>,
     mask: &Mask,
 ) -> SpGemmOut<KernelOut<K>> {
-    check_mask_shapes(a, b, mask);
+    check_shapes(a, b, Some(mask));
     let mut spa = Spa::new(b.ncols(), <K::Acc as Monoid>::identity());
     let mut ms = MaskStamp::new(b.ncols());
     let chunk = multiply_rows_masked::<K>(a, b, mask, 0..a.nrows(), &mut spa, &mut ms);
@@ -300,95 +296,58 @@ fn flops_weights<L, R>(a: &Csr<L>, b: &Csr<R>) -> Vec<u64> {
 /// ([`mfbc_parallel::current`]), with flops-balanced row partitioning
 /// and one reusable SPA per pool participant.
 ///
+/// With a `mask`, elementary products whose output coordinate the
+/// mask excludes are skipped before they are formed (not accumulated,
+/// not counted in `ops`). Whether a mask is present picks the row
+/// kernel, so the unmasked hot loop carries no mask test. Rows are
+/// partitioned by the unmasked flops weights either way — a valid
+/// upper bound per row, and identical partitions keep the trace
+/// stream stable whether or not a mask is present.
+///
 /// Deterministic: each output row is produced by exactly one task,
 /// chunks are assembled in row order, and every accumulation happens
 /// in ascending-`k` order within a row — so the result (entries *and*
-/// the `ops` counter) is bit-identical to [`spgemm_serial`] at any
-/// thread count, even for non-commutative payload effects like `f64`
-/// summation order.
-pub fn spgemm<K: SpMulKernel>(a: &Csr<K::Left>, b: &Csr<K::Right>) -> SpGemmOut<KernelOut<K>> {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "spgemm inner dimension mismatch: {}x{} by {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    let nrows = a.nrows();
-    let pool = mfbc_parallel::current();
-    if pool.threads() == 1 || nrows < PAR_MIN_ROWS {
-        return spgemm_serial::<K>(a, b);
-    }
-    let weights = flops_weights(a, b);
-    let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
-    let (chunks, stats) = pool.par_ranges_scratch(
-        &ranges,
-        || Spa::new(b.ncols(), <K::Acc as Monoid>::identity()),
-        |spa, rows| multiply_rows::<K>(a, b, rows, spa),
-    );
-    mfbc_trace::emit(|| mfbc_trace::TraceEvent::Pool {
-        kernel: "spgemm",
-        threads: stats.threads,
-        tasks: stats.tasks,
-        busy_us: stats.busy.iter().map(|d| d.as_micros() as u64).collect(),
-        chunk_hist: chunk_histogram(ranges.iter().map(|r| r.len())),
-    });
-    assemble::<K>(nrows, b.ncols(), chunks)
-}
-
-/// Row-parallel masked SpGEMM. Same determinism contract as
-/// [`spgemm`]: results (entries *and* `ops`) are bit-identical to
-/// [`spgemm_masked_serial`] at any thread count. Row partitioning
-/// reuses the unmasked flops weights — a valid upper bound per row,
-/// and identical partitions keep the trace stream stable whether or
-/// not a mask is present.
-pub fn spgemm_masked<K: SpMulKernel>(
-    a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
-    mask: &Mask,
-) -> SpGemmOut<KernelOut<K>> {
-    check_mask_shapes(a, b, mask);
-    let nrows = a.nrows();
-    let pool = mfbc_parallel::current();
-    if pool.threads() == 1 || nrows < PAR_MIN_ROWS {
-        return spgemm_masked_serial::<K>(a, b, mask);
-    }
-    let weights = flops_weights(a, b);
-    let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
-    let (chunks, stats) = pool.par_ranges_scratch(
-        &ranges,
-        || {
-            (
-                Spa::new(b.ncols(), <K::Acc as Monoid>::identity()),
-                MaskStamp::new(b.ncols()),
-            )
-        },
-        |(spa, ms), rows| multiply_rows_masked::<K>(a, b, mask, rows, spa, ms),
-    );
-    mfbc_trace::emit(|| mfbc_trace::TraceEvent::Pool {
-        kernel: "spgemm",
-        threads: stats.threads,
-        tasks: stats.tasks,
-        busy_us: stats.busy.iter().map(|d| d.as_micros() as u64).collect(),
-        chunk_hist: chunk_histogram(ranges.iter().map(|r| r.len())),
-    });
-    assemble::<K>(nrows, b.ncols(), chunks)
-}
-
-/// Dispatches to the masked or unmasked parallel kernel — the form
-/// the distributed multiplication layers call with their per-block
-/// mask windows.
-pub fn spgemm_opt<K: SpMulKernel>(
+/// the `ops` counter) is bit-identical to [`spgemm_serial`] /
+/// [`spgemm_masked_serial`] at any thread count, even for
+/// non-commutative payload effects like `f64` summation order.
+///
+/// # Panics
+/// Panics if the inner dimensions disagree or the mask shape differs
+/// from the output shape.
+pub fn spgemm<K: SpMulKernel>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
     mask: Option<&Mask>,
 ) -> SpGemmOut<KernelOut<K>> {
-    match mask {
-        Some(m) => spgemm_masked::<K>(a, b, m),
-        None => spgemm::<K>(a, b),
+    check_shapes(a, b, mask);
+    let nrows = a.nrows();
+    let scratch = || {
+        (
+            Spa::new(b.ncols(), <K::Acc as Monoid>::identity()),
+            mask.map(|_| MaskStamp::new(b.ncols())),
+        )
+    };
+    let kernel = |(spa, ms): &mut (Spa<KernelOut<K>>, Option<MaskStamp>), rows| match (mask, ms) {
+        (Some(mk), Some(ms)) => multiply_rows_masked::<K>(a, b, mk, rows, spa, ms),
+        _ => multiply_rows::<K>(a, b, rows, spa),
+    };
+    let pool = mfbc_parallel::current();
+    if pool.threads() == 1 || nrows < PAR_MIN_ROWS {
+        // Too small to fan out (or no pool): one inline chunk.
+        let chunk = kernel(&mut scratch(), 0..nrows);
+        return assemble::<K>(nrows, b.ncols(), vec![chunk]);
     }
+    let weights = flops_weights(a, b);
+    let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
+    let (chunks, stats) = pool.par_ranges_scratch(&ranges, scratch, kernel);
+    mfbc_trace::emit(|| mfbc_trace::TraceEvent::Pool {
+        kernel: "spgemm",
+        threads: stats.threads,
+        tasks: stats.tasks,
+        busy_us: stats.busy.iter().map(|d| d.as_micros() as u64).collect(),
+        chunk_hist: chunk_histogram(ranges.iter().map(|r| r.len())),
+    });
+    assemble::<K>(nrows, b.ncols(), chunks)
 }
 
 /// Log2-bucketed size histogram: slot `b` counts chunks whose size
@@ -495,7 +454,7 @@ mod tests {
         }
         let a = coo.into_csr::<MinDist>();
         let s = spgemm_serial::<TropicalKernel>(&a, &a);
-        let p = spgemm::<TropicalKernel>(&a, &a);
+        let p = spgemm::<TropicalKernel>(&a, &a, None);
         assert_eq!(s.mat, p.mat);
         assert_eq!(s.ops, p.ops);
         assert!(s.ops > 0);
@@ -515,7 +474,7 @@ mod tests {
         let a = coo.into_csr::<MinDist>();
         let reference = spgemm_serial::<TropicalKernel>(&a, &a);
         for threads in [1, 2, 4, 8] {
-            let p = mfbc_parallel::with_threads(threads, || spgemm::<TropicalKernel>(&a, &a));
+            let p = mfbc_parallel::with_threads(threads, || spgemm::<TropicalKernel>(&a, &a, None));
             assert_eq!(reference.mat, p.mat, "entries differ at {threads} threads");
             assert_eq!(reference.ops, p.ops, "ops differ at {threads} threads");
         }
@@ -575,7 +534,7 @@ mod tests {
             let reference = spgemm_masked_serial::<TropicalKernel>(&a, &a, &mask);
             for threads in [1, 2, 4, 8] {
                 let p = mfbc_parallel::with_threads(threads, || {
-                    spgemm_masked::<TropicalKernel>(&a, &a, &mask)
+                    spgemm::<TropicalKernel>(&a, &a, Some(&mask))
                 });
                 assert_eq!(
                     reference.mat, p.mat,

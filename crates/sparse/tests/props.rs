@@ -110,7 +110,7 @@ proptest! {
     #[test]
     fn parallel_equals_serial(a in arb_square_dist_mat(40)) {
         let s = spgemm_serial::<TropicalKernel>(&a, &a);
-        let p = spgemm::<TropicalKernel>(&a, &a);
+        let p = spgemm::<TropicalKernel>(&a, &a, None);
         prop_assert_eq!(s.mat, p.mat);
         prop_assert_eq!(s.ops, p.ops);
     }

@@ -10,14 +10,14 @@
 //! factorization, scores them with the analytic models of
 //! [`crate::costmodel`], filters out plans whose estimated per-rank
 //! memory exceeds the machine budget, and picks the cheapest.
+//! [`crate::mm()`] runs the pick under [`crate::Planning::Auto`].
 
-use crate::cache::MmCache;
 use crate::costmodel::{memory_per_rank, predict, MmStats};
 use crate::dist::DistMat;
-use crate::mm::{MmOut, MmPlan};
+use crate::mm::MmPlan;
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::SpMulKernel;
-use mfbc_machine::{Machine, MachineError, MachineSpec};
+use mfbc_machine::MachineSpec;
 use mfbc_sparse::{entry_bytes, Mask};
 
 /// Every candidate plan for `p` ranks — the tuner's search space is
@@ -126,61 +126,6 @@ pub fn stats_for_masked<K: SpMulKernel>(
             st.with_mask(mk.allowed_fraction(), kept_frac)
         }
     }
-}
-
-/// Autotuned multiplication: pick the best plan for these operands
-/// and execute it. Returns the chosen plan alongside the product.
-pub fn mm_auto<K: SpMulKernel>(
-    m: &Machine,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-) -> Result<(MmOut<KernelOut<K>>, MmPlan), MachineError> {
-    mm_auto_masked::<K>(m, a, b, None)
-}
-
-/// [`mm_auto`] with an optional output mask: masked stats steer the
-/// plan choice, and the chosen plan executes masked.
-pub fn mm_auto_masked<K: SpMulKernel>(
-    m: &Machine,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-) -> Result<(MmOut<KernelOut<K>>, MmPlan), MachineError> {
-    let _span = mfbc_trace::span(|| "mm_auto".to_string());
-    let st = stats_for_masked::<K>(a, b, mask);
-    let (plan, _) = best_plan(m.spec(), &st);
-    let out = crate::mm::mm_exec_masked::<K>(m, &plan, a, b, mask)?;
-    Ok((out, plan))
-}
-
-/// Autotuned multiplication with right-operand caching: prepared
-/// adjacency forms persist in `cache` across calls (and across the
-/// different plans the tuner picks as the frontier evolves).
-pub fn mm_auto_cached<K: SpMulKernel>(
-    m: &Machine,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<(MmOut<KernelOut<K>>, MmPlan), MachineError> {
-    mm_auto_cached_masked::<K>(m, a, b, None, cache)
-}
-
-/// [`mm_auto_cached`] with an optional output mask. Cached right-hand
-/// forms are mask-independent (they key on content, and masking never
-/// alters what a cached form holds), so amortization across masked
-/// and unmasked calls is preserved.
-pub fn mm_auto_cached_masked<K: SpMulKernel>(
-    m: &Machine,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<(MmOut<KernelOut<K>>, MmPlan), MachineError> {
-    let _span = mfbc_trace::span(|| "mm_auto".to_string());
-    let st = stats_for_masked::<K>(a, b, mask);
-    let (plan, _) = best_plan(m.spec(), &st);
-    let out = crate::mm::mm_exec_cached_masked::<K>(m, &plan, a, b, mask, cache)?;
-    Ok((out, plan))
 }
 
 #[cfg(test)]

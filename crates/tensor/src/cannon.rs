@@ -16,7 +16,6 @@
 use crate::cache::MmCache;
 use crate::dist::{DistMat, Layout};
 use crate::grid::Grid2;
-use crate::mm::assemble_canonical;
 use crate::mm1d::{FirstWins, Piece};
 use crate::redist::redistribute;
 use mfbc_algebra::kernel::KernelOut;
@@ -24,7 +23,7 @@ use mfbc_algebra::SpMulKernel;
 use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
-use mfbc_sparse::{entry_bytes, spgemm_opt, Csr, Mask};
+use mfbc_sparse::{entry_bytes, spgemm, Csr, Mask};
 
 /// Runs Cannon's algorithm on a `q × q` grid.
 ///
@@ -71,8 +70,8 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
     // The initial skew itself is communication: each rank sends its
     // block up to q−1 hops (modeled as one point-to-point per rank,
     // as on a torus where the skew is a single permutation route).
-    // Under overlapped accounting the charge is issued nonblocking
-    // and completed just before the first multiply.
+    // Under overlapped accounting it stays in flight until just
+    // before the first multiply.
     let mut in_flight = charge_shift_all(m, grid, &a_blocks, &b_blocks)?;
 
     let mut acc: Vec<Vec<Csr<KernelOut<K>>>> = (0..q)
@@ -95,17 +94,20 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
     });
     let mut ops = 0u64;
 
-    let overlap = m.spec().overlap;
+    // Wait-then-issue: each step first completes the shift that
+    // delivered its blocks. With lookahead (overlapped accounting)
+    // the next round is issued before this step's compute so its β
+    // time hides under it — each ring keeps the same set of blocks
+    // across a rotation, so the per-ring max charge is identical
+    // whether taken pre- or post-rotation. Without it the shift is
+    // charged after the rotation, serialized.
+    let lookahead = m.spec().overlap;
     for step in 0..q {
-        // The blocks this step multiplies must have arrived.
         for h in in_flight.drain(..) {
             m.wait_collective(h)?;
         }
-        if overlap && step + 1 < q {
-            // Issue the next shift round before this step's compute so
-            // its β time hides under it. Each ring keeps the same set
-            // of blocks across a rotation, so the per-ring max charge
-            // is identical whether taken pre- or post-rotation.
+        let last = step + 1 == q;
+        if lookahead && !last {
             in_flight = charge_shift_all(m, grid, &a_blocks, &b_blocks)?;
         }
         for i in 0..q {
@@ -115,23 +117,20 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
                     continue;
                 }
                 let w = windows.as_ref().map(|ws| &ws[i][j]);
-                let out = spgemm_opt::<K>(ab, bb, w);
+                let out = spgemm::<K>(ab, bb, w);
                 m.charge_compute(grid.rank(i, j), out.ops + out.mat.nnz() as u64);
                 ops += out.ops;
                 acc[i][j] = combine::<K::Acc, _>(&acc[i][j], &out.mat);
             }
         }
-        if step + 1 < q {
+        if !last {
             // Shift A left along rows, B up along columns.
             for row in a_blocks.iter_mut() {
                 row.rotate_left(1);
             }
-            let first = b_blocks.remove(0);
-            b_blocks.push(first);
-            if !overlap {
-                // Blocking mode keeps the legacy schedule: the shift
-                // is charged after the rotation, serialized.
-                charge_shift_all(m, grid, &a_blocks, &b_blocks)?;
+            b_blocks.rotate_left(1);
+            if !lookahead {
+                in_flight = charge_shift_all(m, grid, &a_blocks, &b_blocks)?;
             }
         }
     }
@@ -147,12 +146,12 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
     Ok((pieces, ops))
 }
 
-/// Charges one point-to-point round: every rank sends its current A
-/// block along its row ring and its B block along its column ring.
-/// Rings are disjoint per direction, so each ring's message lands on
-/// its members' critical paths independently. When the machine's spec
-/// overlaps, the charges are issued nonblocking and their handles
-/// returned (empty otherwise) — the caller completes them before the
+/// Starts one point-to-point round ([`Machine::start_collective`]):
+/// every rank sends its current A block along its row ring and its B
+/// block along its column ring. Rings are disjoint per direction, so
+/// each ring's message lands on its members' critical paths
+/// independently. Returns the handles still in flight (none under
+/// blocking accounting) — the caller completes them before the
 /// shifted blocks are multiplied.
 fn charge_shift_all<L, R>(
     m: &Machine,
@@ -162,49 +161,29 @@ fn charge_shift_all<L, R>(
 ) -> Result<Vec<u64>, MachineError> {
     let q = grid.g1();
     let mut handles = Vec::new();
-    if q <= 1 {
-        return Ok(handles);
-    }
-    let overlap = m.spec().overlap;
     for i in 0..q {
         let bytes = (0..q)
             .map(|j| (a_blocks[i][j].nnz() * entry_bytes::<L>()) as u64)
             .max()
             .unwrap_or(0);
-        let g = grid.row_group(i);
-        if overlap {
-            handles.push(m.icharge_collective(&g, CollectiveKind::PointToPoint, bytes)?);
-        } else {
-            m.charge_collective(&g, CollectiveKind::PointToPoint, bytes)?;
-        }
+        handles.extend(m.start_collective(
+            &grid.row_group(i),
+            CollectiveKind::PointToPoint,
+            bytes,
+        )?);
     }
     for j in 0..q {
         let bytes = (0..q)
             .map(|i| (b_blocks[i][j].nnz() * entry_bytes::<R>()) as u64)
             .max()
             .unwrap_or(0);
-        let g = grid.col_group(j);
-        if overlap {
-            handles.push(m.icharge_collective(&g, CollectiveKind::PointToPoint, bytes)?);
-        } else {
-            m.charge_collective(&g, CollectiveKind::PointToPoint, bytes)?;
-        }
+        handles.extend(m.start_collective(
+            &grid.col_group(j),
+            CollectiveKind::PointToPoint,
+            bytes,
+        )?);
     }
     Ok(handles)
-}
-
-/// Assembled-run wrapper mirroring the other variants.
-pub(crate) fn run<K: SpMulKernel>(
-    m: &Machine,
-    grid: &Grid2,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<crate::mm::MmOut<KernelOut<K>>, MachineError> {
-    let (pieces, ops) = run_pieces::<K>(m, grid, a, b, mask, cache)?;
-    let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
-    Ok(crate::mm::MmOut { c, ops })
 }
 
 /// Predicted time of Cannon's algorithm (the §5.2.2 formula):
@@ -238,6 +217,7 @@ pub fn predict_cannon(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MmOpts, MmPlan};
     use mfbc_algebra::kernel::TropicalKernel;
     use mfbc_algebra::monoid::MinDist;
     use mfbc_algebra::Dist;
@@ -267,12 +247,10 @@ mod tests {
             let b = random_mat(2, n, 200);
             let want = spgemm_serial::<TropicalKernel>(&a, &b);
             let m = Machine::new(MachineSpec::test(p));
-            let grid = Grid2::new(Group::all(p), q, q).unwrap();
             let da = DistMat::from_global(crate::canonical_layout(&m, n, n), &a);
             let db = DistMat::from_global(crate::canonical_layout(&m, n, n), &b);
-            let mut cache = MmCache::new();
-            let out = run::<TropicalKernel>(&m, &grid, &da, &db, None, &mut cache).unwrap();
-            cache.release_all(&m);
+            let plan = MmPlan::Cannon { q };
+            let (out, _) = crate::mm::<TropicalKernel>(&m, &da, &db, MmOpts::fixed(&plan)).unwrap();
             assert_eq!(out.c.to_global::<MinDist>(), want.mat, "q={q}");
             assert_eq!(out.ops, want.ops, "q={q}");
         }
@@ -284,12 +262,10 @@ mod tests {
         let n = 30;
         let a = random_mat(3, n, 150);
         let m = Machine::new(MachineSpec::test(q * q));
-        let grid = Grid2::new(Group::all(q * q), q, q).unwrap();
         let da = DistMat::from_global(crate::canonical_layout(&m, n, n), &a);
         let db = da.clone();
-        let mut cache = MmCache::new();
-        let _ = run::<TropicalKernel>(&m, &grid, &da, &db, None, &mut cache).unwrap();
-        cache.release_all(&m);
+        let plan = MmPlan::Cannon { q };
+        let _ = crate::mm::<TropicalKernel>(&m, &da, &db, MmOpts::fixed(&plan)).unwrap();
         // q shift rounds × 2 directions = 2q point-to-point messages
         // per rank on the critical path, plus the redistribution
         // all-to-all — far below SUMMA's 2·q·log₂(q)-per-step counts.
@@ -305,6 +281,6 @@ mod tests {
         let a = random_mat(5, 12, 40);
         let da = DistMat::from_global(crate::canonical_layout(&m, 12, 12), &a);
         let mut cache = MmCache::new();
-        let _ = run::<TropicalKernel>(&m, &grid, &da, &da.clone(), None, &mut cache);
+        let _ = run_pieces::<TropicalKernel>(&m, &grid, &da, &da.clone(), None, &mut cache);
     }
 }

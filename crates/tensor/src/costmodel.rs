@@ -140,26 +140,24 @@ impl Terms {
 /// redistribution mode:
 ///
 /// * `Alltoall` — `β·B/p + α·⌈lg p⌉` (the §6.2 baseline);
-/// * `P2p` — `α·(p−1) + β·B/p`: each sender pays a latency per
-///   destination but ships only what each destination needs;
-/// * `Bcast` — `2β·B/p + 2α·⌈lg p⌉`: the broadcast closed form on the
-///   per-sender volume;
-/// * `Auto` — the cheapest of the two hybrids and the all-to-all
-///   fallback, matching the executor's
-///   per-sender choice under uniform traffic.
+/// * `Auto` — the cheapest of the all-to-all and the two hybrids,
+///   matching the executor's per-sender choice under uniform traffic:
+///   pairwise sends `α·(p−1) + β·B/p` (a latency per destination,
+///   only what each destination needs) and the broadcast closed form
+///   `2β·B/p + 2α·⌈lg p⌉` on the per-sender volume.
 pub(crate) fn redist_time(spec: &MachineSpec, p: usize, bytes: f64) -> f64 {
     if p <= 1 || bytes == 0.0 {
         return 0.0;
     }
     let per_sender = bytes / p as f64;
     let alltoall = spec.beta * per_sender + spec.alpha * lg(p);
-    let p2p = spec.alpha * (p - 1) as f64 + spec.beta * per_sender;
-    let bcast = 2.0 * spec.beta * per_sender + 2.0 * spec.alpha * lg(p);
     match spec.redist {
         mfbc_machine::RedistMode::Alltoall => alltoall,
-        mfbc_machine::RedistMode::P2p => p2p,
-        mfbc_machine::RedistMode::Bcast => bcast,
-        mfbc_machine::RedistMode::Auto => p2p.min(bcast).min(alltoall),
+        mfbc_machine::RedistMode::Auto => {
+            let p2p = spec.alpha * (p - 1) as f64 + spec.beta * per_sender;
+            let bcast = 2.0 * spec.beta * per_sender + 2.0 * spec.alpha * lg(p);
+            p2p.min(bcast).min(alltoall)
+        }
     }
 }
 

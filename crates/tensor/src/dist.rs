@@ -349,7 +349,7 @@ impl<T: Clone + Send + Sync> DistMat<T> {
     /// a description of the first violation.
     ///
     /// Used by the conformance harness after every kernel execution
-    /// (and by `mm_exec` itself under `debug_assertions`), so a
+    /// (and by `mm` itself under `debug_assertions`), so a
     /// corrupted communication schedule fails loudly at the operation
     /// that produced it instead of as a distant wrong answer.
     pub fn validate(&self) -> Result<(), String> {

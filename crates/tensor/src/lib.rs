@@ -12,11 +12,20 @@
 //! * [`dist`] — block [`Layout`]s and the distributed matrix
 //!   [`DistMat`];
 //! * [`redist`] — sparse redistribution (personalized all-to-all);
-//! * [`mm`] (with private 1D/2D/3D submodules) — the generalized
-//!   multiplication algorithms over any
-//!   [`SpMulKernel`](mfbc_algebra::SpMulKernel);
+//! * [`mod@mm`] (with private 1D/2D/3D submodules and [`cannon`]) —
+//!   the generalized multiplication algorithms over any
+//!   [`SpMulKernel`](mfbc_algebra::SpMulKernel), behind the one entry
+//!   point [`mm()`]: autotuned or fixed plan ([`Planning`]), optional
+//!   mask and cache ([`MmOpts`]), product plus the plan that ran;
 //! * [`costmodel`] — closed-form α–β–γ predictions per variant;
-//! * [`autotune`] — plan enumeration + scoring + execution.
+//! * [`autotune`] — plan enumeration + scoring.
+//!
+//! Every plan family has a single code path for both of the
+//! machine's accountings: collectives are started with
+//! `Machine::start_collective`, which charges them on the spot under
+//! the paper's serialized accounting and leaves them in flight under
+//! overlapped accounting. The plans' one-step lookahead is the only
+//! place they consult the spec.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -38,16 +47,14 @@ mod mm3d;
 pub mod ops;
 pub mod redist;
 
-pub use autotune::{
-    best_plan, mm_auto, mm_auto_cached, mm_auto_cached_masked, mm_auto_masked, stats_for_masked,
-};
+pub use autotune::{best_plan, stats_for_masked};
 pub use cache::{CacheStats, MmCache};
 pub use costmodel::MmStats;
 pub use dist::{DistMat, Layout};
 pub use grid::{Grid2, Grid3};
 pub use mfbc_sparse::{Mask, MaskKind};
 pub use mm::{
-    canonical_layout, enumerate_plans, mm_exec, mm_exec_cached, mm_exec_cached_masked,
-    mm_exec_masked, MmOut, MmPlan, Variant1D, Variant2D, VARIANTS_1D, VARIANTS_2D,
+    canonical_layout, enumerate_plans, mm, MmOpts, MmOut, MmPlan, Planning, Variant1D, Variant2D,
+    VARIANTS_1D, VARIANTS_2D,
 };
 pub use redist::redistribute;

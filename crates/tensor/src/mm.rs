@@ -11,12 +11,23 @@
 //! * nine **3D** variants obtained by nesting a 1D variant over `p1`
 //!   layers with a 2D variant on each layer's `p2 × p3` grid.
 //!
-//! A [`MmPlan`] pins the variant and grid; [`mm_exec`] redistributes
-//! the operands into the layouts the variant needs (charged as
-//! all-to-alls, like CTF's redistribution kernels), runs the
+//! A [`MmPlan`] pins the variant and grid. [`mm`] is the one
+//! multiplication entry point: it autotunes or runs a fixed plan
+//! ([`Planning`]), optionally masked and cached ([`MmOpts`]). It
+//! redistributes the operands into the layouts the variant needs
+//! (charged like CTF's redistribution kernels), runs the
 //! communication schedule with *real data movement* through the
 //! machine's collectives, and returns the product in the canonical
-//! world layout.
+//! world layout together with the plan that ran.
+//!
+//! Each family has one code path for both accountings. Every
+//! collective is started with `Machine::start_collective`, which
+//! charges it on the spot under the paper's serialized §7.4
+//! accounting and leaves it in flight under `spec.overlap`. A plan
+//! reads the spec only for its one-step lookahead: the Sparse SUMMA
+//! loops of the 2D variants (which the 3D layers reuse) stage
+//! superstep `t+1` before computing `t`, and Cannon issues its next
+//! shift before computing.
 //!
 //! Deviation noted for reviewers: results are re-assembled into the
 //! canonical blocked layout without charging that final reshuffle.
@@ -346,59 +357,116 @@ pub(crate) fn shrink_rhs_against_mask<T: Clone + Send + Sync>(
     Some(out)
 }
 
-/// Executes `C = A •⟨⊕,f⟩ B` under `plan`.
-///
-/// # Errors
-/// Propagates [`MachineError::OutOfMemory`] when a rank's simulated
-/// memory budget is exceeded (e.g. 1D replication of a matrix larger
-/// than `M`).
-pub fn mm_exec<K: SpMulKernel>(
-    m: &Machine,
-    plan: &MmPlan,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    mm_exec_masked::<K>(m, plan, a, b, None)
+/// How [`mm`] picks its plan.
+#[derive(Clone, Copy, Debug, Default)]
+pub enum Planning<'a> {
+    /// Autotune: score every enumerable plan on (masked) operand
+    /// stats and run the cheapest ([`crate::autotune::best_plan`]).
+    #[default]
+    Auto,
+    /// Run exactly this plan.
+    Fixed(&'a MmPlan),
 }
 
-/// [`mm_exec`] with an optional output mask in global coordinates:
-/// each plan windows the mask to its output blocks, so excluded
-/// elementary products are skipped inside every local kernel call and
-/// never counted in `ops`.
-pub fn mm_exec_masked<K: SpMulKernel>(
+impl<'a> From<Option<&'a MmPlan>> for Planning<'a> {
+    /// `None` autotunes; `Some(plan)` pins it.
+    fn from(plan: Option<&'a MmPlan>) -> Planning<'a> {
+        plan.map_or(Planning::Auto, Planning::Fixed)
+    }
+}
+
+/// Options of one [`mm`] call. The default autotunes, multiplies
+/// unmasked, and prepares operands in a fresh cache released on
+/// return.
+pub struct MmOpts<'a, R> {
+    /// Plan choice.
+    pub plan: Planning<'a>,
+    /// Output mask in global coordinates: each plan windows it to its
+    /// output blocks, so excluded elementary products are skipped
+    /// inside every local kernel call and never counted in `ops`.
+    /// Masked stats also steer the autotuner.
+    pub mask: Option<&'a Mask>,
+    /// Right-operand cache reused across calls — the Theorem-5.1
+    /// amortization for the iterated frontier × adjacency products of
+    /// MFBC. Cached forms stay resident (charged) until
+    /// [`MmCache::release_all`]. They are mask-*independent* (they key
+    /// on the operand alone), so the amortization survives a mask
+    /// that changes every iteration; only the uncached
+    /// fresh-per-product B-panel paths shrink operand volume against
+    /// the mask (see DESIGN.md).
+    pub cache: Option<&'a mut MmCache<R>>,
+}
+
+impl<R> Default for MmOpts<'_, R> {
+    fn default() -> Self {
+        MmOpts {
+            plan: Planning::Auto,
+            mask: None,
+            cache: None,
+        }
+    }
+}
+
+impl<'a, R> MmOpts<'a, R> {
+    /// Runs `plan`, unmasked, with a fresh cache.
+    pub fn fixed(plan: &'a MmPlan) -> Self {
+        MmOpts {
+            plan: Planning::Fixed(plan),
+            ..MmOpts::default()
+        }
+    }
+}
+
+/// Computes `C = A •⟨⊕,f⟩ B` — the one distributed multiplication
+/// entry point. Returns the product (in the canonical world layout)
+/// and the plan that ran.
+///
+/// # Errors
+/// A plan that does not tile the machine is
+/// [`MachineError::InvalidConfig`]; [`MachineError::OutOfMemory`]
+/// surfaces when a rank's simulated memory budget is exceeded (e.g.
+/// 1D replication of a matrix larger than `M`).
+pub fn mm<K: SpMulKernel>(
     m: &Machine,
-    plan: &MmPlan,
+    a: &DistMat<K::Left>,
+    b: &DistMat<K::Right>,
+    opts: MmOpts<'_, K::Right>,
+) -> Result<(MmOut<KernelOut<K>>, MmPlan), MachineError> {
+    let MmOpts { plan, mask, cache } = opts;
+    match cache {
+        Some(cache) => plan_and_run::<K>(m, plan, a, b, mask, cache),
+        None => {
+            // Un-amortized: the product pays its own preparation.
+            let mut cache = MmCache::new();
+            let out = plan_and_run::<K>(m, plan, a, b, mask, &mut cache);
+            cache.release_all(m);
+            out
+        }
+    }
+}
+
+fn plan_and_run<K: SpMulKernel>(
+    m: &Machine,
+    plan: Planning<'_>,
     a: &DistMat<K::Left>,
     b: &DistMat<K::Right>,
     mask: Option<&Mask>,
-) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    let mut cache = MmCache::new();
-    let out = mm_exec_cached_masked::<K>(m, plan, a, b, mask, &mut cache);
-    cache.release_all(m);
-    out
-}
-
-/// Like [`mm_exec`], but reusing prepared right-operand forms from
-/// `cache` across calls — the Theorem-5.1 amortization for the
-/// iterated frontier × adjacency products of MFBC. The cached forms
-/// stay resident (charged) until [`MmCache::release_all`].
-pub fn mm_exec_cached<K: SpMulKernel>(
-    m: &Machine,
-    plan: &MmPlan,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
     cache: &mut MmCache<K::Right>,
-) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    mm_exec_cached_masked::<K>(m, plan, a, b, None, cache)
+) -> Result<(MmOut<KernelOut<K>>, MmPlan), MachineError> {
+    match plan {
+        Planning::Fixed(plan) => Ok((run::<K>(m, plan, a, b, mask, cache)?, plan.clone())),
+        Planning::Auto => {
+            let _span = mfbc_trace::span(|| "mm_auto".to_string());
+            let st = crate::autotune::stats_for_masked::<K>(a, b, mask);
+            let (plan, _) = crate::autotune::best_plan(m.spec(), &st);
+            Ok((run::<K>(m, &plan, a, b, mask, cache)?, plan))
+        }
+    }
 }
 
-/// Masked, cached execution — the full-generality entry point. Cached
-/// right-operand forms are mask-*independent* (they key on the
-/// operand alone), so Theorem 5.1's amortization survives a mask that
-/// changes every iteration; only the uncached fresh-per-product
-/// B-panel paths shrink operand volume against the mask (see
-/// DESIGN.md).
-pub fn mm_exec_cached_masked<K: SpMulKernel>(
+/// Executes one plan: shape checks, the per-family algorithm, the
+/// fault-injection seam, and the `Spgemm` trace event.
+fn run<K: SpMulKernel>(
     m: &Machine,
     plan: &MmPlan,
     a: &DistMat<K::Left>,
@@ -428,15 +496,15 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
     }
     plan.check(m.p())?;
     let _span = mfbc_trace::span(|| format!("spgemm {plan}"));
-    let out = match *plan {
-        MmPlan::OneD(v) => mm1d::run::<K>(m, &m.world(), v, a, b, mask, cache),
+    let (pieces, ops) = match *plan {
+        MmPlan::OneD(v) => mm1d::run_pieces::<K>(m, &m.world(), v, a, b, mask, cache),
         MmPlan::TwoD { variant, p2, p3 } => {
             let grid = Grid2::new(m.world(), p2, p3)?;
-            mm2d::run::<K>(m, &grid, variant, a, b, mask, cache)
+            mm2d::run_pieces::<K>(m, &grid, variant, a, b, mask, cache)
         }
         MmPlan::Cannon { q } => {
             let grid = Grid2::new(m.world(), q, q)?;
-            crate::cannon::run::<K>(m, &grid, a, b, mask, cache)
+            crate::cannon::run_pieces::<K>(m, &grid, a, b, mask, cache)
         }
         MmPlan::ThreeD {
             split,
@@ -446,36 +514,30 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
             p3,
         } => {
             let grid = Grid3::new(m.world(), p1, p2, p3)?;
-            mm3d::run::<K>(m, &grid, split, inner, a, b, mask, cache)
+            mm3d::run_pieces::<K>(m, &grid, split, inner, a, b, mask, cache)
         }
-    };
-    let out = match out {
-        Ok(mut out) => {
-            if mfbc_fault::sabotage::armed_for(&plan.to_string()) {
-                apply_fault(&mut out);
-            }
-            debug_assert!(
-                out.c.validate().is_ok(),
-                "mm_exec produced an invalid result: {:?}",
-                out.c.validate()
-            );
-            Ok(out)
-        }
-        err => err,
-    };
-    if let Ok(out) = &out {
-        mfbc_trace::emit(|| mfbc_trace::TraceEvent::Spgemm {
-            plan: plan.to_string(),
-            m: a.nrows() as u64,
-            k: a.ncols() as u64,
-            n: b.ncols() as u64,
-            nnz_a: a.nnz() as u64,
-            nnz_b: b.nnz() as u64,
-            nnz_c: out.c.nnz() as u64,
-            ops: out.ops,
-        });
+    }?;
+    let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
+    let mut out = MmOut { c, ops };
+    if mfbc_fault::sabotage::armed_for(&plan.to_string()) {
+        apply_fault(&mut out);
     }
-    out
+    debug_assert!(
+        out.c.validate().is_ok(),
+        "mm produced an invalid result: {:?}",
+        out.c.validate()
+    );
+    mfbc_trace::emit(|| mfbc_trace::TraceEvent::Spgemm {
+        plan: plan.to_string(),
+        m: a.nrows() as u64,
+        k: a.ncols() as u64,
+        n: b.ncols() as u64,
+        nnz_a: a.nnz() as u64,
+        nnz_b: b.nnz() as u64,
+        nnz_c: out.c.nnz() as u64,
+        ops: out.ops,
+    });
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -16,7 +16,6 @@
 
 use crate::cache::{CachedRhs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
-use crate::mm::{assemble_canonical, MmOut};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::SpMulKernel;
@@ -37,46 +36,12 @@ use crate::redist::redistribute;
 /// over the right fiber groups.
 pub(crate) type Piece<T> = (usize, usize, usize, Csr<T>);
 
-/// Runs a 1D variant over `group`, returning the canonical result.
-pub(crate) fn run<K: SpMulKernel>(
-    m: &Machine,
-    group: &Group,
-    variant: Variant1D,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    let (pieces, ops) = run_pieces::<K>(m, group, variant, a, b, mask, cache)?;
-    let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
-    Ok(MmOut { c, ops })
-}
-
-/// Issues an allgather charge for `bytes` over `group`: nonblocking
-/// (returning the handle) when the machine's spec overlaps, blocking
-/// otherwise. `None` means nothing was charged (singleton group).
-fn charge_allgather(m: &Machine, group: &Group, bytes: u64) -> Result<Option<u64>, MachineError> {
-    if group.len() <= 1 {
-        return Ok(None);
-    }
-    if m.spec().overlap {
-        Ok(Some(m.icharge_collective(
-            group,
-            CollectiveKind::Allgather,
-            bytes,
-        )?))
-    } else {
-        m.charge_collective(group, CollectiveKind::Allgather, bytes)?;
-        Ok(None)
-    }
-}
-
 /// Fetches (or builds, charges, and caches) the fully replicated form
 /// of the right operand — the amortized "replicate B" of Theorem 5.1.
-/// On a cache miss under overlapped accounting the allgather is issued
-/// nonblocking: the caller redistributes the other operand while the
-/// replica is in flight and waits the returned [`Pending`] only when
-/// the replica is first multiplied.
+/// On a cache miss the allgather is started
+/// ([`Machine::start_collective`]): the caller redistributes the other
+/// operand while the replica may be in flight and waits the returned
+/// [`Pending`] only when the replica is first multiplied.
 fn replicated_rhs<K: SpMulKernel>(
     m: &Machine,
     group: &Group,
@@ -89,7 +54,7 @@ fn replicated_rhs<K: SpMulKernel>(
         return Ok(Pending::ready(Arc::clone(g)));
     }
     let bytes = (b.nnz() * entry_bytes::<K::Right>()) as u64;
-    let handle = charge_allgather(m, group, bytes)?;
+    let handle = m.start_collective(group, CollectiveKind::Allgather, bytes)?;
     let mut charges = Vec::with_capacity(group.len());
     for &r in group.ranks() {
         m.charge_alloc(r, bytes)?;
@@ -97,10 +62,7 @@ fn replicated_rhs<K: SpMulKernel>(
     }
     let global = Arc::new(b.to_global::<FirstWins<K::Right>>());
     cache.insert(key, fp, CachedRhs::Global(Arc::clone(&global)), charges);
-    Ok(match handle {
-        Some(h) => Pending::issued(global, h),
-        None => Pending::ready(global),
-    })
+    Ok(Pending::new(global, handle))
 }
 
 /// Layout splitting columns into `q` parts, part `k` owned by group
@@ -131,10 +93,10 @@ fn row_split_layout(nrows: usize, ncols: usize, group: &Group) -> Layout {
 /// Replicates a distributed matrix to every member of `group`: the
 /// allgather moves every block to every rank (charged at
 /// `β·nnz + α·log p`), and each rank's resident memory grows by the
-/// full matrix size. Under overlapped accounting the allgather is
-/// issued nonblocking so the caller can redistribute the other
-/// operand while the replica is in flight; the returned [`Pending`]
-/// must be waited before the replica is multiplied.
+/// full matrix size. The allgather is started
+/// ([`Machine::start_collective`]) so the caller can redistribute the
+/// other operand while the replica may be in flight; the returned
+/// [`Pending`] must be waited before the replica is multiplied.
 fn replicate<T, M>(
     machine: &Machine,
     group: &Group,
@@ -145,15 +107,11 @@ where
     T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
 {
     let bytes = (x.nnz() * entry_bytes::<T>()) as u64;
-    let handle = charge_allgather(machine, group, bytes)?;
+    let handle = machine.start_collective(group, CollectiveKind::Allgather, bytes)?;
     for &r in group.ranks() {
         machine.charge_alloc(r, bytes)?;
     }
-    let global = x.to_global::<M>();
-    Ok(match handle {
-        Some(h) => Pending::issued(global, h),
-        None => Pending::ready(global),
-    })
+    Ok(Pending::new(x.to_global::<M>(), handle))
 }
 
 /// Releases the replication charge of [`replicate`].
@@ -164,6 +122,8 @@ fn release_replica<T>(machine: &Machine, group: &Group, global: &Csr<T>) {
     }
 }
 
+/// Runs a 1D variant over `group`, returning its output pieces and
+/// `ops`.
 pub(crate) fn run_pieces<K: SpMulKernel>(
     m: &Machine,
     group: &Group,
@@ -180,10 +140,10 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
     // assumed duplicate-free (DistMat guarantees this).
     match variant {
         Variant1D::A => {
-            // Replicate A and redistribute B concurrently: in overlap
-            // mode the allgather is in flight while the alltoall below
-            // is charged, and the wait lands only before the first
-            // multiply that touches the replica.
+            // Replicate A and redistribute B concurrently: under
+            // overlapped accounting the allgather is in flight while
+            // the alltoall below is charged, and the wait lands only
+            // before the first multiply that touches the replica.
             let a_pending = replicate::<_, FirstWins<K::Left>>(m, group, a)?;
             let lb = col_split_layout(b.nrows(), b.ncols(), group);
             // The column-split right-hand form depends only on the
@@ -221,7 +181,7 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
                     continue;
                 }
                 let w = mask.map(|mk| mk.window(0..a.nrows(), lb.col_range(k)));
-                let out = mfbc_sparse::spgemm_opt::<K>(&a_full, blk, w.as_ref());
+                let out = mfbc_sparse::spgemm::<K>(&a_full, blk, w.as_ref());
                 m.charge_compute(group.rank_at(k), out.ops + out.mat.nnz() as u64);
                 ops += out.ops;
                 pieces.push((0, lb.col_range(k).start, k, out.mat));
@@ -242,7 +202,7 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
                     continue;
                 }
                 let w = mask.map(|mk| mk.window(la.row_range(k), 0..b.ncols()));
-                let out = mfbc_sparse::spgemm_opt::<K>(blk, &b_full, w.as_ref());
+                let out = mfbc_sparse::spgemm::<K>(blk, &b_full, w.as_ref());
                 m.charge_compute(group.rank_at(k), out.ops + out.mat.nnz() as u64);
                 ops += out.ops;
                 pieces.push((la.row_range(k).start, 0, k, out.mat));
@@ -277,7 +237,7 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
                     continue;
                 }
                 // Full-shape partials: each gets the whole mask.
-                let out = mfbc_sparse::spgemm_opt::<K>(ab, bb, mask);
+                let out = mfbc_sparse::spgemm::<K>(ab, bb, mask);
                 m.charge_compute(group.rank_at(k), out.ops + out.mat.nnz() as u64);
                 m.charge_alloc(
                     group.rank_at(k),

@@ -24,32 +24,17 @@
 use crate::cache::{CachedRhs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
 use crate::grid::{lcm, Grid2};
-use crate::mm::{assemble_canonical, MmOut, Variant2D};
+use crate::mm::Variant2D;
 use crate::mm1d::{FirstWins, Piece};
 use crate::redist::redistribute;
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::SpMulKernel;
-use mfbc_machine::collectives::{broadcast, isparse_reduce, sparse_reduce, Pending, Volume};
+use mfbc_machine::collectives::{Pending, Volume};
 use mfbc_machine::{CollectiveKind, Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
 use mfbc_sparse::slice::even_ranges;
-use mfbc_sparse::{entry_bytes, spgemm_opt, Csr, Mask};
+use mfbc_sparse::{entry_bytes, spgemm, Csr, Mask};
 use std::sync::Arc;
-
-/// Runs a 2D variant over `grid`, returning the canonical result.
-pub(crate) fn run<K: SpMulKernel>(
-    m: &Machine,
-    grid: &Grid2,
-    variant: Variant2D,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    let (pieces, ops) = run_pieces::<K>(m, grid, variant, a, b, mask, cache)?;
-    let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
-    Ok(MmOut { c, ops })
-}
 
 /// Fetches (or builds, charges residency, and caches) the right
 /// operand redistributed into `lb` for this grid/variant.
@@ -94,10 +79,9 @@ fn cached_rhs_layout<K: SpMulKernel>(
 type StagedBcast<T> = (Arc<Csr<T>>, u64, Option<u64>);
 
 /// Broadcasts `block` from grid position root within `group`,
-/// charging receivers' memory. When the machine's spec overlaps, the
-/// collective is issued nonblocking so the caller can prefetch the
-/// next superstep's panels under the current one's compute; otherwise
-/// the charge lands immediately (legacy blocking order).
+/// charging receivers' memory. The collective is started
+/// ([`Machine::start_collective`]), so under overlapped accounting it
+/// stays in flight while the caller computes the previous superstep.
 fn bcast_block<T: Clone + Send + Sync>(
     m: &Machine,
     group: &mfbc_machine::Group,
@@ -105,13 +89,7 @@ fn bcast_block<T: Clone + Send + Sync>(
     block: &Csr<T>,
 ) -> Result<StagedBcast<T>, MachineError> {
     let shared = Arc::new(block.clone());
-    let handle = if m.spec().overlap && group.len() > 1 {
-        Some(m.icharge_collective(group, CollectiveKind::Broadcast, shared.comm_bytes())?)
-    } else {
-        let handles = broadcast(m, group, root_idx, Arc::clone(&shared));
-        drop(handles); // all handles alias `shared` in-process
-        None
-    };
+    let handle = m.start_collective(group, CollectiveKind::Broadcast, shared.comm_bytes())?;
     let bytes = (block.nnz() * entry_bytes::<T>()) as u64;
     for (idx, &r) in group.ranks().iter().enumerate() {
         if idx != root_idx {
@@ -132,25 +110,71 @@ fn wait_staged<T>(m: &Machine, staged: &[StagedBcast<T>]) -> Result<(), MachineE
     Ok(())
 }
 
-/// Sparse-reduces C-chunk contributions over `group`: nonblocking
-/// under overlapped accounting (the returned [`Pending`] gates the
-/// reduced chunk and is drained after the superstep loop), blocking —
-/// and immediately ready — otherwise.
+/// Sparse-reduces C-chunk contributions over `group` (charged by the
+/// result size, §5.1). The collective is started
+/// ([`Machine::start_collective`]): the returned [`Pending`] gates the
+/// reduced chunk, and callers drain it after their superstep loop —
+/// the reduced chunks feed nothing inside it.
 pub(crate) fn reduce_chunk<K: SpMulKernel>(
     m: &Machine,
     group: &mfbc_machine::Group,
     contribs: Vec<Csr<KernelOut<K>>>,
 ) -> Result<Pending<Csr<KernelOut<K>>>, MachineError> {
-    if m.spec().overlap {
-        isparse_reduce(m, group, contribs, |x, y| combine::<K::Acc, _>(&x, &y))
-    } else {
-        Ok(Pending::ready(sparse_reduce(
-            m,
-            group,
-            contribs,
-            |x, y| combine::<K::Acc, _>(&x, &y),
-        )?))
+    assert_eq!(contribs.len(), group.len(), "one contribution per member");
+    let total = contribs
+        .into_iter()
+        .reduce(|x, y| combine::<K::Acc, _>(&x, &y))
+        .expect("group is non-empty");
+    let handle = m.start_collective(group, CollectiveKind::SparseReduce, total.comm_bytes())?;
+    Ok(Pending::new(total, handle))
+}
+
+/// A started C-chunk reduction: the chunk's global offsets and grid
+/// position (as in [`Piece`]) with the reduced block behind its gate.
+pub(crate) type Reduced<T> = (usize, usize, usize, Pending<Csr<T>>);
+
+/// Waits every started reduction in start order and keeps the
+/// nonempty chunks as output pieces.
+pub(crate) fn drain_reduced<T>(
+    m: &Machine,
+    reduced: Vec<Reduced<T>>,
+) -> Result<Vec<Piece<T>>, MachineError> {
+    let mut pieces = Vec::with_capacity(reduced.len());
+    for (r0, c0, pos, pending) in reduced {
+        let blk = pending.wait(m)?;
+        if !blk.is_empty() {
+            pieces.push((r0, c0, pos, blk));
+        }
     }
+    Ok(pieces)
+}
+
+/// Runs the `s` supersteps of a Sparse SUMMA loop: `stage(t)` starts
+/// step `t`'s panel broadcasts, `step(t, staged)` waits them,
+/// multiplies and releases. This is the one-step lookahead shared by
+/// the three 2D variants: under overlapped accounting step `t+1` is
+/// staged before step `t` runs, so its broadcasts hide under step
+/// `t`'s compute (double buffering); blocking accounting stages each
+/// step right before running it — the serialized schedule.
+fn supersteps<S>(
+    m: &Machine,
+    s: usize,
+    mut stage: impl FnMut(usize) -> Result<S, MachineError>,
+    mut step: impl FnMut(usize, S) -> Result<(), MachineError>,
+) -> Result<(), MachineError> {
+    let lookahead = m.spec().overlap;
+    let mut next = if lookahead { Some(stage(0)?) } else { None };
+    for t in 0..s {
+        let staged = match next.take() {
+            Some(staged) => staged,
+            None => stage(t)?,
+        };
+        if lookahead && t + 1 < s {
+            next = Some(stage(t + 1)?);
+        }
+        step(t, staged)?;
+    }
+    Ok(())
 }
 
 fn release_bcast(m: &Machine, group: &mfbc_machine::Group, root_idx: usize, bytes: u64) {
@@ -161,6 +185,8 @@ fn release_bcast(m: &Machine, group: &mfbc_machine::Group, root_idx: usize, byte
     }
 }
 
+/// Runs a 2D variant over `grid`, returning its output pieces and
+/// `ops`.
 pub(crate) fn run_pieces<K: SpMulKernel>(
     m: &Machine,
     grid: &Grid2,
@@ -227,48 +253,19 @@ fn stationary_c<K: SpMulKernel>(
     });
     let mut ops = 0u64;
 
-    // Stage (charge) every broadcast of superstep `t`: A chunks along
-    // grid rows, then B chunks along grid columns — the legacy charge
-    // order, so blocking runs are event-for-event identical.
-    let stage = |t: usize| -> Result<
-        (Vec<StagedBcast<K::Left>>, Vec<StagedBcast<K::Right>>),
-        MachineError,
-    > {
-        let mut a_shared = Vec::with_capacity(g1);
-        for bi in 0..g1 {
-            a_shared.push(bcast_block(
-                m,
-                &grid.row_group(bi),
-                t % g2,
-                a2.block(bi, t),
-            )?);
-        }
-        let mut b_shared = Vec::with_capacity(g2);
-        for bj in 0..g2 {
-            b_shared.push(bcast_block(
-                m,
-                &grid.col_group(bj),
-                t % g1,
-                b2.block(t, bj),
-            )?);
-        }
+    // Start every broadcast of superstep `t`: A chunks along grid
+    // rows, then B chunks along grid columns.
+    let stage = |t: usize| -> Result<_, MachineError> {
+        let a_shared = (0..g1)
+            .map(|bi| bcast_block(m, &grid.row_group(bi), t % g2, a2.block(bi, t)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let b_shared = (0..g2)
+            .map(|bj| bcast_block(m, &grid.col_group(bj), t % g1, b2.block(t, bj)))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok((a_shared, b_shared))
     };
 
-    // Double-buffered pipeline: under overlapped accounting, step
-    // t+1's broadcasts are issued before step t's compute, so their β
-    // time hides under it; blocking mode stages at the top of each
-    // iteration instead, preserving the serialized schedule exactly.
-    let overlap = m.spec().overlap;
-    let mut prefetched = if overlap { Some(stage(0)?) } else { None };
-    for t in 0..s {
-        let (a_shared, b_shared) = match prefetched.take() {
-            Some(staged) => staged,
-            None => stage(t)?,
-        };
-        if overlap && t + 1 < s {
-            prefetched = Some(stage(t + 1)?);
-        }
+    supersteps(m, s, stage, |t, (a_shared, b_shared)| {
         wait_staged(m, &a_shared)?;
         wait_staged(m, &b_shared)?;
         for bi in 0..g1 {
@@ -278,7 +275,7 @@ fn stationary_c<K: SpMulKernel>(
                     continue;
                 }
                 let w = windows.as_ref().map(|ws| &ws[bi * g2 + bj]);
-                let out = spgemm_opt::<K>(ab, bb, w);
+                let out = spgemm::<K>(ab, bb, w);
                 m.charge_compute(grid.rank(bi, bj), out.ops + out.mat.nnz() as u64);
                 ops += out.ops;
                 let slot = &mut acc[bi * g2 + bj];
@@ -291,7 +288,8 @@ fn stationary_c<K: SpMulKernel>(
         for (bj, (_, bytes, _)) in b_shared.into_iter().enumerate() {
             release_bcast(m, &grid.col_group(bj), t % g1, bytes);
         }
-    }
+        Ok(())
+    })?;
 
     let mut pieces = Vec::with_capacity(g1 * g2);
     for bi in 0..g1 {
@@ -342,37 +340,19 @@ fn stationary_b<K: SpMulKernel>(
     let b2 = cached_rhs_layout::<K>(m, Variant2D::AC, grid, b, &lb, cache)?;
 
     let ncols_of = |bj: usize| lb.col_range(bj).len();
-    let mut pieces = Vec::new();
     let mut ops = 0u64;
 
     let stage = |t: usize| -> Result<Vec<StagedBcast<K::Left>>, MachineError> {
-        let mut a_shared = Vec::with_capacity(g1);
-        for bk in 0..g1 {
-            a_shared.push(bcast_block(
-                m,
-                &grid.row_group(bk),
-                t % g2,
-                a2.block(t, bk),
-            )?);
-        }
-        Ok(a_shared)
+        (0..g1)
+            .map(|bk| bcast_block(m, &grid.row_group(bk), t % g2, a2.block(t, bk)))
+            .collect()
     };
 
     // Prefetch next step's A panels under this step's compute, and
-    // drain the nonblocking C reductions only after the loop — the
-    // reduced chunks feed nothing inside it.
-    let overlap = m.spec().overlap;
-    let mut reduced: Vec<(usize, usize, usize, Pending<Csr<KernelOut<K>>>)> = Vec::new();
-    let mut prefetched = if overlap { Some(stage(0)?) } else { None };
-    for t in 0..s {
+    // drain the C reductions only after the loop.
+    let mut reduced: Vec<Reduced<KernelOut<K>>> = Vec::new();
+    supersteps(m, s, stage, |t, a_shared| {
         let chunk_rows = la.row_range(t).len();
-        let a_shared = match prefetched.take() {
-            Some(staged) => staged,
-            None => stage(t)?,
-        };
-        if overlap && t + 1 < s {
-            prefetched = Some(stage(t + 1)?);
-        }
         wait_staged(m, &a_shared)?;
         for bj in 0..g2 {
             // All g1 partials of this (t, bj) output rectangle share
@@ -385,7 +365,7 @@ fn stationary_b<K: SpMulKernel>(
                     contribs.push(Csr::zero(chunk_rows, ncols_of(bj)));
                     continue;
                 }
-                let out = spgemm_opt::<K>(ab, bb, w.as_ref());
+                let out = spgemm::<K>(ab, bb, w.as_ref());
                 m.charge_compute(grid.rank(bk, bj), out.ops + out.mat.nnz() as u64);
                 ops += out.ops;
                 contribs.push(out.mat);
@@ -397,14 +377,9 @@ fn stationary_b<K: SpMulKernel>(
         for (bk, (_, bytes, _)) in a_shared.into_iter().enumerate() {
             release_bcast(m, &grid.row_group(bk), t % g2, bytes);
         }
-    }
-    for (r0, c0, pos, pending) in reduced {
-        let cblk = pending.wait(m)?;
-        if !cblk.is_empty() {
-            pieces.push((r0, c0, pos, cblk));
-        }
-    }
-    Ok((pieces, ops))
+        Ok(())
+    })?;
+    Ok((drain_reduced(m, reduced)?, ops))
 }
 
 /// Variant BC: A stationary; B chunks broadcast along columns, C
@@ -438,36 +413,19 @@ fn stationary_a<K: SpMulKernel>(
     let a2 = redistribute::<FirstWins<K::Left>, _>(m, a, &la)?;
     let b2 = cached_rhs_layout::<K>(m, Variant2D::BC, grid, b, &lb, cache)?;
 
-    let mut pieces = Vec::new();
     let mut ops = 0u64;
 
     let stage = |t: usize| -> Result<Vec<StagedBcast<K::Right>>, MachineError> {
-        let mut b_shared = Vec::with_capacity(g2);
-        for bk in 0..g2 {
-            b_shared.push(bcast_block(
-                m,
-                &grid.col_group(bk),
-                t % g1,
-                b2.block(bk, t),
-            )?);
-        }
-        Ok(b_shared)
+        (0..g2)
+            .map(|bk| bcast_block(m, &grid.col_group(bk), t % g1, b2.block(bk, t)))
+            .collect()
     };
 
     // Mirror of the AC pipeline: prefetch B panels, drain reductions
     // after the loop.
-    let overlap = m.spec().overlap;
-    let mut reduced: Vec<(usize, usize, usize, Pending<Csr<KernelOut<K>>>)> = Vec::new();
-    let mut prefetched = if overlap { Some(stage(0)?) } else { None };
-    for t in 0..s {
+    let mut reduced: Vec<Reduced<KernelOut<K>>> = Vec::new();
+    supersteps(m, s, stage, |t, b_shared| {
         let chunk_cols = lb.col_range(t).len();
-        let b_shared = match prefetched.take() {
-            Some(staged) => staged,
-            None => stage(t)?,
-        };
-        if overlap && t + 1 < s {
-            prefetched = Some(stage(t + 1)?);
-        }
         wait_staged(m, &b_shared)?;
         for bi in 0..g1 {
             let rows = la.row_range(bi).len();
@@ -481,7 +439,7 @@ fn stationary_a<K: SpMulKernel>(
                     contribs.push(Csr::zero(rows, chunk_cols));
                     continue;
                 }
-                let out = spgemm_opt::<K>(ab, bb, w.as_ref());
+                let out = spgemm::<K>(ab, bb, w.as_ref());
                 m.charge_compute(grid.rank(bi, bk), out.ops + out.mat.nnz() as u64);
                 ops += out.ops;
                 contribs.push(out.mat);
@@ -493,12 +451,7 @@ fn stationary_a<K: SpMulKernel>(
         for (bk, (_, bytes, _)) in b_shared.into_iter().enumerate() {
             release_bcast(m, &grid.col_group(bk), t % g1, bytes);
         }
-    }
-    for (r0, c0, pos, pending) in reduced {
-        let cblk = pending.wait(m)?;
-        if !cblk.is_empty() {
-            pieces.push((r0, c0, pos, cblk));
-        }
-    }
-    Ok((pieces, ops))
+        Ok(())
+    })?;
+    Ok((drain_reduced(m, reduced)?, ops))
 }

@@ -20,7 +20,7 @@
 use crate::cache::{CachedRhs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
 use crate::grid::Grid3;
-use crate::mm::{assemble_canonical, MmOut, Variant1D, Variant2D};
+use crate::mm::{Variant1D, Variant2D};
 use crate::mm1d::{FirstWins, Piece};
 use crate::mm2d;
 use crate::redist::{extract_windows, redistribute};
@@ -30,12 +30,13 @@ use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::slice::even_ranges;
 use mfbc_sparse::{entry_bytes, Csr, Mask};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Runs a 3D variant over `grid`, returning the canonical result.
+/// Runs a 3D variant over `grid`, returning its output pieces and
+/// `ops`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<K: SpMulKernel>(
+pub(crate) fn run_pieces<K: SpMulKernel>(
     m: &Machine,
     grid: &Grid3,
     split: Variant1D,
@@ -44,14 +45,12 @@ pub(crate) fn run<K: SpMulKernel>(
     b: &DistMat<K::Right>,
     mask: Option<&Mask>,
     cache: &mut MmCache<K::Right>,
-) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    let (pieces, ops) = match split {
-        Variant1D::A => split_a::<K>(m, grid, inner, a, b, mask, cache)?,
-        Variant1D::B => split_b::<K>(m, grid, inner, a, b, mask, cache)?,
-        Variant1D::C => split_c::<K>(m, grid, inner, a, b, mask, cache)?,
-    };
-    let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
-    Ok(MmOut { c, ops })
+) -> Result<(Vec<Piece<KernelOut<K>>>, u64), MachineError> {
+    match split {
+        Variant1D::A => split_a::<K>(m, grid, inner, a, b, mask, cache),
+        Variant1D::B => split_b::<K>(m, grid, inner, a, b, mask, cache),
+        Variant1D::C => split_c::<K>(m, grid, inner, a, b, mask, cache),
+    }
 }
 
 /// Fetches (or builds, charges, and caches) the per-layer slices of
@@ -87,9 +86,9 @@ fn cached_rhs_slices<K: SpMulKernel>(
 
 /// Fetches (or builds, charges, and caches) the per-layer replicas
 /// of the right operand (split = B).
-/// On a cache miss under overlapped accounting the replication's
-/// fiber broadcasts stay in flight — the returned handles must
-/// complete before the replicas are multiplied (a hit returns none).
+/// On a cache miss the replication's fiber broadcasts may stay in
+/// flight — the returned handles must complete before the replicas
+/// are multiplied (a hit returns none).
 fn cached_rhs_layers<K: SpMulKernel>(
     m: &Machine,
     grid: &Grid3,
@@ -126,9 +125,9 @@ fn cached_rhs_layers<K: SpMulKernel>(
 /// redistributed to layer 0's natural 2D layout, then each block is
 /// broadcast along its fiber group. Returns one per-layer copy (on
 /// that layer's grid) plus the per-rank byte charge to release.
-/// Under overlapped accounting the fiber broadcasts are issued
-/// nonblocking and their handles returned (empty otherwise): the
-/// caller overlaps them with the other operand's redistribution and
+/// The fiber broadcasts are started ([`Machine::start_collective`])
+/// and the handles of those still in flight returned: the caller
+/// overlaps them with the other operand's redistribution and
 /// completes them before the replicas are multiplied.
 fn replicate_over_layers<T, M>(
     machine: &Machine,
@@ -147,20 +146,12 @@ where
     // Fiber broadcasts: disjoint groups, so each fiber's collective
     // lands on its own critical path.
     let ebytes = entry_bytes::<T>() as u64;
-    let overlap = machine.spec().overlap;
     let mut handles = Vec::new();
     for i in 0..p2 {
         for j in 0..p3 {
-            if p1 == 1 {
-                continue;
-            }
             let bytes = x0.block(i, j).nnz() as u64 * ebytes;
             let fg = grid.fiber_group(i, j);
-            if overlap {
-                handles.push(machine.icharge_collective(&fg, CollectiveKind::Broadcast, bytes)?);
-            } else {
-                machine.charge_collective(&fg, CollectiveKind::Broadcast, bytes)?;
-            }
+            handles.extend(machine.start_collective(&fg, CollectiveKind::Broadcast, bytes)?);
             for l in 1..p1 {
                 machine.charge_alloc(fg.rank_at(l), bytes)?;
             }
@@ -325,7 +316,7 @@ fn split_c<K: SpMulKernel>(
 
     // Per (r0, c0, pos): one optional contribution per layer.
     type Key = (usize, usize, usize);
-    let mut partials: HashMap<Key, Vec<Option<Csr<KernelOut<K>>>>> = HashMap::new();
+    let mut partials: BTreeMap<Key, Vec<Option<Csr<KernelOut<K>>>>> = BTreeMap::new();
 
     let a_specs: Vec<_> = (0..p1)
         .map(|l| {
@@ -368,15 +359,12 @@ fn split_c<K: SpMulKernel>(
     }
 
     // Fiber reductions: one sparse reduce per surviving block
-    // position, combining the layers' partial contributions. Under
-    // overlapped accounting every reduce is issued before any is
-    // waited — the fiber groups are disjoint, so the rounds pipeline.
-    let mut keys: Vec<Key> = partials.keys().copied().collect();
-    keys.sort_unstable();
-    let mut reduced = Vec::with_capacity(keys.len());
-    for key in keys {
-        let (r0, c0, pos) = key;
-        let layers = partials.remove(&key).expect("key just listed");
+    // position (in key order), combining the layers' partial
+    // contributions. Every reduce is started before any is waited —
+    // the fiber groups are disjoint, so under overlapped accounting
+    // the rounds pipeline.
+    let mut reduced = Vec::with_capacity(partials.len());
+    for ((r0, c0, pos), layers) in partials {
         let shape = layers
             .iter()
             .flatten()
@@ -387,17 +375,8 @@ fn split_c<K: SpMulKernel>(
             .into_iter()
             .map(|o| o.unwrap_or_else(|| Csr::zero(shape.0, shape.1)))
             .collect();
-        let (i, j) = (pos / p3, pos % p3);
-        let fg = grid.fiber_group(i, j);
-        let total = mm2d::reduce_chunk::<K>(m, &fg, contribs)?;
-        reduced.push((r0, c0, pos, total));
+        let fg = grid.fiber_group(pos / p3, pos % p3);
+        reduced.push((r0, c0, pos, mm2d::reduce_chunk::<K>(m, &fg, contribs)?));
     }
-    let mut pieces = Vec::with_capacity(reduced.len());
-    for (r0, c0, pos, pending) in reduced {
-        let total = pending.wait(m)?;
-        if !total.is_empty() {
-            pieces.push((r0, c0, pos, total));
-        }
-    }
-    Ok((pieces, ops))
+    Ok((mm2d::drain_reduced(m, reduced)?, ops))
 }

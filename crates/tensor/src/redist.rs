@@ -201,22 +201,20 @@ fn collect_owners(a: &Layout, b: &Layout) -> Vec<usize> {
 /// * [`RedistMode::Alltoall`] — the §6.2 baseline: one personalized
 ///   all-to-all over `participants`, charged with the largest
 ///   per-sender volume.
-/// * [`RedistMode::P2p`] — per sender, one point-to-point message per
-///   destination (`k·α + β·b` for `k` destinations sending `b` bytes
-///   total): cheapest when block sparsity leaves each sender few
-///   destinations.
-/// * [`RedistMode::Bcast`] — per sender, one broadcast over the
-///   sender and its destinations (`2β·b + 2⌈lg(k+1)⌉·α`): fewer
-///   latency hits when a block fans out to many ranks.
-/// * [`RedistMode::Auto`] — per sender, whichever of the two hybrids
-///   is cheaper under the spec's α and β, decided from the actual
-///   per-block nnz the traffic matrix records — *unless* the traffic
-///   is dense enough that the single amortized all-to-all undercuts
-///   the whole hybrid schedule, in which case Auto falls back to it.
-///   The comparison sums the per-sender hybrid costs (senders whose
-///   groups share ranks serialize on the machine, so the sum is the
-///   conservative estimate) against the all-to-all's closed form on
-///   the largest per-sender volume.
+/// * [`RedistMode::Auto`] — per sender, the cheaper under the spec's
+///   α and β of one point-to-point message per destination
+///   (`k·α + β·b` for `k` destinations sending `b` bytes total; wins
+///   when block sparsity leaves a sender few destinations) and one
+///   broadcast over the sender and its destinations
+///   (`2β·b + 2⌈lg(k+1)⌉·α`; fewer latency hits on a wide fan-out),
+///   decided from the actual per-block nnz the traffic matrix
+///   records — *unless* the traffic is dense enough that the single
+///   amortized all-to-all undercuts the whole hybrid schedule, in
+///   which case Auto falls back to it. The comparison sums the
+///   per-sender hybrid costs (senders whose groups share ranks
+///   serialize on the machine, so the sum is the conservative
+///   estimate) against the all-to-all's closed form on the largest
+///   per-sender volume.
 fn charge_redist(
     m: &Machine,
     traffic: &[Vec<u64>],
@@ -234,87 +232,55 @@ fn charge_redist(
         .map(|row| row.iter().sum::<u64>())
         .max()
         .unwrap_or(0);
-    let mode = match spec.redist {
-        RedistMode::Auto => {
-            let alltoall_t = CollectiveKind::AllToAll.time(spec, nparticipants, max_send);
-            let hybrid_t: f64 = traffic
-                .iter()
-                .enumerate()
-                .map(|(r, row)| {
-                    let b_r: u64 = row
-                        .iter()
-                        .enumerate()
-                        .filter(|&(d, &b)| d != r && b > 0)
-                        .map(|(_, &b)| b)
-                        .sum();
-                    let k = row
-                        .iter()
-                        .enumerate()
-                        .filter(|&(d, &b)| d != r && b > 0)
-                        .count();
-                    if k == 0 {
-                        return 0.0;
-                    }
-                    let p2p_t = spec.beta * b_r as f64 + k as f64 * spec.alpha;
-                    let bcast_t = CollectiveKind::Broadcast.time(spec, k + 1, b_r);
-                    p2p_t.min(bcast_t)
-                })
-                .sum();
-            if alltoall_t <= hybrid_t {
-                RedistMode::Alltoall
-            } else {
-                RedistMode::Auto
-            }
-        }
-        other => other,
+    // Each sender's destinations, walked in ascending rank and
+    // destination order so the schedule (and hence the modeled
+    // clocks) is deterministic.
+    let dests = |r: usize| {
+        traffic[r]
+            .iter()
+            .enumerate()
+            .filter(move |&(d, &b)| d != r && b > 0)
+            .map(|(d, &b)| (d, b))
     };
-    match mode {
-        RedistMode::Alltoall => {
-            let group = mfbc_machine::Group::new(participants)
-                .expect("owner union is non-empty and deduplicated");
-            m.charge_collective(&group, CollectiveKind::AllToAll, max_send)?;
-        }
-        mode => {
-            // Hybrid: price each sender's fan-out from its actual
-            // per-destination volumes; ranks and destinations are
-            // walked in ascending order so the schedule (and hence
-            // the modeled clocks) is deterministic.
-            for (r, row) in traffic.iter().enumerate() {
-                let dests: Vec<(usize, u64)> = row
-                    .iter()
-                    .enumerate()
-                    .filter(|&(d, &b)| d != r && b > 0)
-                    .map(|(d, &b)| (d, b))
-                    .collect();
-                if dests.is_empty() {
-                    continue;
-                }
-                let b_r: u64 = dests.iter().map(|&(_, b)| b).sum();
-                let k = dests.len();
-                let use_bcast = match mode {
-                    RedistMode::Bcast => true,
-                    RedistMode::P2p => false,
-                    RedistMode::Auto | RedistMode::Alltoall => {
-                        let p2p_t = spec.beta * b_r as f64 + k as f64 * spec.alpha;
-                        let bcast_t = CollectiveKind::Broadcast.time(spec, k + 1, b_r);
-                        bcast_t <= p2p_t
-                    }
-                };
-                if use_bcast {
-                    let mut ranks: Vec<usize> = dests.iter().map(|&(d, _)| d).collect();
-                    ranks.push(r);
-                    ranks.sort_unstable();
-                    let group = mfbc_machine::Group::new(ranks)
-                        .expect("sender plus destinations is non-empty");
-                    m.charge_collective(&group, CollectiveKind::Broadcast, b_r)?;
-                } else {
-                    for (d, b) in dests {
-                        let mut pair = vec![r, d];
-                        pair.sort_unstable();
-                        let group = mfbc_machine::Group::new(pair)
-                            .expect("sender–destination pair is non-empty");
-                        m.charge_collective(&group, CollectiveKind::PointToPoint, b)?;
-                    }
+    // Per sending rank: total volume and the modeled pairwise and
+    // broadcast times of its fan-out.
+    let fanouts: Vec<(usize, u64, f64, f64)> = (0..traffic.len())
+        .filter_map(|r| {
+            let k = dests(r).count();
+            if k == 0 {
+                return None;
+            }
+            let b_r: u64 = dests(r).map(|(_, b)| b).sum();
+            let p2p_t = spec.beta * b_r as f64 + k as f64 * spec.alpha;
+            let bcast_t = CollectiveKind::Broadcast.time(spec, k + 1, b_r);
+            Some((r, b_r, p2p_t, bcast_t))
+        })
+        .collect();
+    let alltoall = spec.redist == RedistMode::Alltoall || {
+        let alltoall_t = CollectiveKind::AllToAll.time(spec, nparticipants, max_send);
+        let hybrid_t: f64 = fanouts.iter().map(|f| f.2.min(f.3)).sum();
+        alltoall_t <= hybrid_t
+    };
+    if alltoall {
+        let group = mfbc_machine::Group::new(participants)
+            .expect("owner union is non-empty and deduplicated");
+        m.charge_collective(&group, CollectiveKind::AllToAll, max_send)?;
+    } else {
+        for (r, b_r, p2p_t, bcast_t) in fanouts {
+            if bcast_t <= p2p_t {
+                let mut ranks: Vec<usize> = dests(r).map(|(d, _)| d).collect();
+                ranks.push(r);
+                ranks.sort_unstable();
+                let group =
+                    mfbc_machine::Group::new(ranks).expect("sender plus destinations is non-empty");
+                m.charge_collective(&group, CollectiveKind::Broadcast, b_r)?;
+            } else {
+                for (d, b) in dests(r) {
+                    let mut pair = vec![r, d];
+                    pair.sort_unstable();
+                    let group = mfbc_machine::Group::new(pair)
+                        .expect("sender–destination pair is non-empty");
+                    m.charge_collective(&group, CollectiveKind::PointToPoint, b)?;
                 }
             }
         }

@@ -9,9 +9,7 @@ use mfbc_algebra::Dist;
 use mfbc_machine::{Machine, MachineSpec};
 use mfbc_sparse::{spgemm_serial, Coo, Csr};
 use mfbc_tensor::cache::MmCache;
-use mfbc_tensor::{
-    canonical_layout, mm_exec, mm_exec_cached, DistMat, MmPlan, Variant1D, Variant2D,
-};
+use mfbc_tensor::{canonical_layout, mm, DistMat, MmOpts, MmPlan, Variant1D, Variant2D};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -68,9 +66,27 @@ fn second_iteration_is_cheaper_with_cache() {
         let da2 = DistMat::from_global(canonical_layout(&m, n, n), &a2);
         let db = DistMat::from_global(canonical_layout(&m, n, n), &b);
         let mut cache = MmCache::new();
-        let _ = mm_exec_cached::<TropicalKernel>(&m, &plan, &da1, &db, &mut cache).unwrap();
+        let _ = mm::<TropicalKernel>(
+            &m,
+            &da1,
+            &db,
+            MmOpts {
+                cache: Some(&mut cache),
+                ..MmOpts::fixed(&plan)
+            },
+        )
+        .unwrap();
         let after_first = m.report().critical.bytes;
-        let _ = mm_exec_cached::<TropicalKernel>(&m, &plan, &da2, &db, &mut cache).unwrap();
+        let _ = mm::<TropicalKernel>(
+            &m,
+            &da2,
+            &db,
+            MmOpts {
+                cache: Some(&mut cache),
+                ..MmOpts::fixed(&plan)
+            },
+        )
+        .unwrap();
         let cached_second = m.report().critical.bytes - after_first;
         cache.release_all(&m);
 
@@ -79,7 +95,7 @@ fn second_iteration_is_cheaper_with_cache() {
         let m2 = Machine::new(MachineSpec::test(4));
         let da2b = DistMat::from_global(canonical_layout(&m2, n, n), &a2);
         let db2 = DistMat::from_global(canonical_layout(&m2, n, n), &b);
-        let _ = mm_exec::<TropicalKernel>(&m2, &plan, &da2b, &db2).unwrap();
+        let _ = mm::<TropicalKernel>(&m2, &da2b, &db2, MmOpts::fixed(&plan)).unwrap();
         let cold_second = m2.report().critical.bytes;
 
         // For plans where the right operand genuinely moves
@@ -113,10 +129,19 @@ fn cached_results_stay_correct() {
         for seed in 10..14 {
             let a = random_mat(seed, n, 250);
             let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
-            let got = mm_exec_cached::<TropicalKernel>(&m, &plan, &da, &db, &mut cache)
-                .unwrap()
-                .c
-                .to_global::<MinDist>();
+            let got = mm::<TropicalKernel>(
+                &m,
+                &da,
+                &db,
+                MmOpts {
+                    cache: Some(&mut cache),
+                    ..MmOpts::fixed(&plan)
+                },
+            )
+            .unwrap()
+            .0
+            .c
+            .to_global::<MinDist>();
             let want = spgemm_serial::<TropicalKernel>(&a, &b).mat;
             assert_eq!(got, want, "plan {plan:?}, seed {seed}");
         }
@@ -136,8 +161,28 @@ fn different_rhs_is_not_conflated() {
     let db2 = DistMat::from_global(canonical_layout(&m, n, n), &b2);
     let plan = MmPlan::OneD(Variant1D::B);
     let mut cache = MmCache::new();
-    let r1 = mm_exec_cached::<TropicalKernel>(&m, &plan, &da, &db1, &mut cache).unwrap();
-    let r2 = mm_exec_cached::<TropicalKernel>(&m, &plan, &da, &db2, &mut cache).unwrap();
+    let r1 = mm::<TropicalKernel>(
+        &m,
+        &da,
+        &db1,
+        MmOpts {
+            cache: Some(&mut cache),
+            ..MmOpts::fixed(&plan)
+        },
+    )
+    .unwrap()
+    .0;
+    let r2 = mm::<TropicalKernel>(
+        &m,
+        &da,
+        &db2,
+        MmOpts {
+            cache: Some(&mut cache),
+            ..MmOpts::fixed(&plan)
+        },
+    )
+    .unwrap()
+    .0;
     assert_eq!(
         r1.c.to_global::<MinDist>(),
         spgemm_serial::<TropicalKernel>(&a, &b1).mat
@@ -157,7 +202,7 @@ fn uncached_exec_releases_all_memory() {
     let m = Machine::new(MachineSpec::test(4));
     let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
     let db = da.clone();
-    let _ = mm_exec::<TropicalKernel>(&m, &MmPlan::OneD(Variant1D::B), &da, &db).unwrap();
+    let _ = mm::<TropicalKernel>(&m, &da, &db, MmOpts::fixed(&MmPlan::OneD(Variant1D::B))).unwrap();
     for r in 0..4 {
         assert_eq!(
             m.with_tracker(|t| t.resident(r)),

@@ -10,8 +10,8 @@ use mfbc_algebra::monoid::MinDist;
 use mfbc_algebra::{Dist, Multpath, MultpathMonoid};
 use mfbc_machine::{Machine, MachineSpec};
 use mfbc_sparse::{spgemm_serial, Coo, Csr};
-use mfbc_tensor::autotune::{candidate_plans, mm_auto};
-use mfbc_tensor::{canonical_layout, mm_exec, mm_exec_masked, DistMat};
+use mfbc_tensor::autotune::candidate_plans;
+use mfbc_tensor::{canonical_layout, mm, DistMat, MmOpts};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -55,7 +55,7 @@ fn every_plan_matches_serial_tropical() {
         let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
         let db = DistMat::from_global(canonical_layout(&m, n, n), &b);
         for plan in candidate_plans(p) {
-            let out = mm_exec::<TropicalKernel>(&m, &plan, &da, &db)
+            let (out, _) = mm::<TropicalKernel>(&m, &da, &db, MmOpts::fixed(&plan))
                 .unwrap_or_else(|e| panic!("p={p} plan={plan:?}: {e}"));
             let got = out.c.to_global::<MinDist>();
             assert_eq!(got, expected.mat, "mismatch for p={p}, plan={plan:?}");
@@ -80,7 +80,7 @@ fn every_plan_matches_serial_multpath_rectangular() {
         let df = DistMat::from_global(canonical_layout(&m, nb, n), &f);
         let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
         for plan in candidate_plans(p) {
-            let out = mm_exec::<BellmanFordKernel>(&m, &plan, &df, &da)
+            let (out, _) = mm::<BellmanFordKernel>(&m, &df, &da, MmOpts::fixed(&plan))
                 .unwrap_or_else(|e| panic!("p={p} plan={plan:?}: {e}"));
             let got = out.c.to_global::<MultpathMonoid>();
             assert_eq!(got, expected.mat, "mismatch for p={p}, plan={plan:?}");
@@ -99,7 +99,7 @@ fn autotuned_mm_matches_serial_and_charges_costs() {
     let m = Machine::new(MachineSpec::gemini(8));
     let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
     let db = DistMat::from_global(canonical_layout(&m, n, n), &b);
-    let (out, plan) = mm_auto::<TropicalKernel>(&m, &da, &db).unwrap();
+    let (out, plan) = mm::<TropicalKernel>(&m, &da, &db, MmOpts::default()).unwrap();
     assert_eq!(out.c.to_global::<MinDist>(), expected);
     let report = m.report();
     assert!(
@@ -119,7 +119,7 @@ fn empty_operands_work_under_all_plans() {
     let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
     let db = DistMat::from_global(canonical_layout(&m, n, n), &b);
     for plan in candidate_plans(4) {
-        let out = mm_exec::<TropicalKernel>(&m, &plan, &da, &db).unwrap();
+        let (out, _) = mm::<TropicalKernel>(&m, &da, &db, MmOpts::fixed(&plan)).unwrap();
         assert_eq!(out.c.nnz(), 0, "plan {plan:?}");
         assert_eq!(out.ops, 0);
     }
@@ -138,7 +138,7 @@ fn more_ranks_than_rows_still_correct() {
     let df = DistMat::from_global(canonical_layout(&m, nb, n), &f);
     let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
     for plan in candidate_plans(8) {
-        let out = mm_exec::<BellmanFordKernel>(&m, &plan, &df, &da)
+        let (out, _) = mm::<BellmanFordKernel>(&m, &df, &da, MmOpts::fixed(&plan))
             .unwrap_or_else(|e| panic!("plan={plan:?}: {e}"));
         assert_eq!(
             out.c.to_global::<MultpathMonoid>(),
@@ -161,7 +161,7 @@ fn replication_plans_hit_memory_budget() {
     let m = Machine::new(spec);
     let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
     let db = da.clone();
-    let err = mm_exec::<TropicalKernel>(&m, &MmPlan::OneD(Variant1D::A), &da, &db);
+    let err = mm::<TropicalKernel>(&m, &da, &db, MmOpts::fixed(&MmPlan::OneD(Variant1D::A)));
     assert!(err.is_err(), "replicating 12 kB into 2 kB budget must fail");
 }
 
@@ -190,8 +190,16 @@ fn every_plan_matches_masked_serial() {
             let df = DistMat::from_global(canonical_layout(&m, nb, n), &f);
             let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
             for plan in candidate_plans(p) {
-                let out = mm_exec_masked::<BellmanFordKernel>(&m, &plan, &df, &da, Some(&mask))
-                    .unwrap_or_else(|e| panic!("{kind:?} p={p} plan={plan:?}: {e}"));
+                let (out, _) = mm::<BellmanFordKernel>(
+                    &m,
+                    &df,
+                    &da,
+                    MmOpts {
+                        mask: Some(&mask),
+                        ..MmOpts::fixed(&plan)
+                    },
+                )
+                .unwrap_or_else(|e| panic!("{kind:?} p={p} plan={plan:?}: {e}"));
                 assert_eq!(
                     out.c.to_global::<MultpathMonoid>(),
                     expected.mat,
@@ -220,9 +228,17 @@ fn mask_shrinks_variant_a_communication() {
         let m = Machine::new(MachineSpec::test(4));
         let df = DistMat::from_global(canonical_layout(&m, nb, n), &f);
         let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
-        let out =
-            mm_exec_masked::<BellmanFordKernel>(&m, &MmPlan::OneD(Variant1D::A), &df, &da, mask)
-                .unwrap();
+        let out = mm::<BellmanFordKernel>(
+            &m,
+            &df,
+            &da,
+            MmOpts {
+                mask,
+                ..MmOpts::fixed(&MmPlan::OneD(Variant1D::A))
+            },
+        )
+        .unwrap()
+        .0;
         (m.report().critical.bytes, out.ops)
     };
     let (unmasked_bytes, unmasked_ops) = run(None);

@@ -11,7 +11,7 @@ use mfbc_machine::{Machine, MachineSpec};
 use mfbc_sparse::{Coo, Csr};
 use mfbc_tensor::autotune::{candidate_plans, stats_for};
 use mfbc_tensor::costmodel::predict;
-use mfbc_tensor::{canonical_layout, mm_exec, DistMat};
+use mfbc_tensor::{canonical_layout, mm, DistMat, MmOpts};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -50,7 +50,7 @@ fn predictions_track_charges_within_constant_factor() {
         let da = DistMat::from_global(canonical_layout(&m, a.nrows(), a.ncols()), &a);
         let st = stats_for::<BellmanFordKernel>(&df, &da);
         let predicted = predict(&spec, &plan, &st);
-        let _ = mm_exec::<BellmanFordKernel>(&m, &plan, &df, &da).unwrap();
+        let _ = mm::<BellmanFordKernel>(&m, &df, &da, MmOpts::fixed(&plan)).unwrap();
         let charged = m.report().critical.total_time();
         pairs.push((predicted, charged, format!("{plan:?}")));
     }

@@ -13,7 +13,7 @@ use mfbc::prelude::*;
 use mfbc::sparse::Coo;
 use mfbc::tensor::autotune::{candidate_plans, stats_for};
 use mfbc::tensor::costmodel::predict;
-use mfbc::tensor::{canonical_layout, mm_exec, DistMat};
+use mfbc::tensor::{canonical_layout, mm, DistMat, MmOpts};
 
 fn main() {
     let p = 16;
@@ -70,7 +70,7 @@ fn main() {
         let m = Machine::new(MachineSpec::gemini(p));
         let df = DistMat::from_global(canonical_layout(&m, nb, n), &frontier);
         let da = DistMat::from_global(canonical_layout(&m, n, n), g.adjacency());
-        let _ = mm_exec::<BellmanFordKernel>(&m, plan, &df, &da).expect("plan executes");
+        let _ = mm::<BellmanFordKernel>(&m, &df, &da, MmOpts::fixed(plan)).expect("plan executes");
         m.report().critical.total_time()
     };
     let best_t = run(&best_plan);

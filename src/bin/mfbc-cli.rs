@@ -164,8 +164,8 @@ const USAGE: &str = "usage:
   mfbc-cli sssp --source V [--directed] <edge-list|->
   mfbc-cli components [--directed] <edge-list|->
   mfbc-cli stats [--directed] <edge-list|->
-  mfbc-cli simulate --nodes P [--plan auto|ca:C|combblas] [--batch N] [--graph rmat:S,E|uniform:N,M|FILE] [--directed] [--threads T] [--no-masked] [--no-overlap] [--hybrid-redist auto|bcast|p2p|alltoall] [--faults SPEC] [--fault-seed S] [--trace-out FILE] [--trace-format chrome|jsonl] [--profile-out FILE] [--profile-html FILE] [--timeline-out FILE]
-  mfbc-cli bench [--baseline FILE] [--write FILE] [--serve-baseline FILE] [--serve-write FILE] [--band F] [--case NAME] [--no-overlap] [--hybrid-redist auto|bcast|p2p|alltoall] [--profile-out FILE] [--html-out FILE] [--prom-out FILE] [--timeline-out FILE] [--timeline-html FILE]
+  mfbc-cli simulate --nodes P [--plan auto|ca:C|combblas] [--batch N] [--graph rmat:S,E|uniform:N,M|FILE] [--directed] [--threads T] [--no-masked] [--no-overlap] [--hybrid-redist auto|alltoall] [--faults SPEC] [--fault-seed S] [--trace-out FILE] [--trace-format chrome|jsonl] [--profile-out FILE] [--profile-html FILE] [--timeline-out FILE]
+  mfbc-cli bench [--baseline FILE] [--write FILE] [--serve-baseline FILE] [--serve-write FILE] [--band F] [--case NAME] [--no-overlap] [--hybrid-redist auto|alltoall] [--profile-out FILE] [--html-out FILE] [--prom-out FILE] [--timeline-out FILE] [--timeline-html FILE]
   mfbc-cli analyze [--case NAME] [--timeline-out FILE] [--html-out FILE] [--what-if SPEC] [--compare FILE] [--top K]
   mfbc-cli generate (rmat:S,E | uniform:N,M) [--weighted MAX] [--seed S]
   mfbc-cli serve --nodes P [--graph rmat:S,E|uniform:N,M|FILE] [--batch N] [--queue N] [--deadline S] [--faults SPEC] [--fault-seed S] [--seed S] [--threads T] [--warm] [--prom-out FILE] [--flight-out FILE] [--mem-bytes B] [--directed]
@@ -321,18 +321,14 @@ fn parse_threads(o: &Opts) -> Result<Option<usize>, String> {
 }
 
 /// Parses `--hybrid-redist MODE` into the machine's redistribution
-/// mode (`auto`, `bcast`, `p2p`, or the legacy `alltoall`).
+/// mode (`auto`, or the legacy `alltoall`).
 fn parse_redist(o: &Opts) -> Result<Option<mfbc_machine::RedistMode>, String> {
-    match o.get("hybrid-redist") {
-        None => Ok(None),
-        Some("auto") => Ok(Some(mfbc_machine::RedistMode::Auto)),
-        Some("bcast") => Ok(Some(mfbc_machine::RedistMode::Bcast)),
-        Some("p2p") => Ok(Some(mfbc_machine::RedistMode::P2p)),
-        Some("alltoall") => Ok(Some(mfbc_machine::RedistMode::Alltoall)),
-        Some(other) => Err(format!(
-            "--hybrid-redist must be auto, bcast, p2p, or alltoall, got {other:?}"
-        )),
-    }
+    o.get("hybrid-redist")
+        .map(|name| {
+            mfbc_machine::RedistMode::from_name(name)
+                .ok_or_else(|| format!("--hybrid-redist must be auto or alltoall, got {name:?}"))
+        })
+        .transpose()
 }
 
 /// Prints the overlapped-vs-serialized makespan comparison for a
